@@ -6,18 +6,25 @@
 // as BENCH_infer.json; `speedup_engine` on matcher_predict is the acceptance
 // gate for the engine (>= 2x single-thread throughput vs the Tape path).
 //
-// Both paths run the same weights on the same encoded pairs and are checked
-// bit-identical before anything is timed, so the recorded ratio is pure
+// Inference consumers only run the engine, so the Tape baseline calls the
+// layers' differentiable Forward directly, one sequence per Tape (what
+// training records, dropout off). Both paths run the same TPLM weights on
+// the same encodings and are checked bit-identical before anything is
+// timed (the matcher head's parity is pinned in inference_test; the Tape
+// baseline runs a head of the same shapes), so the recorded ratio is pure
 // bookkeeping + arithmetic-intensity win, not a numerics change.
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <vector>
 
+#include "autograd/ops.h"
 #include "bench_common.h"
 #include "core/encodings.h"
 #include "core/matcher.h"
 #include "data/registry.h"
+#include "nn/layers.h"
 #include "text/vocab.h"
 #include "util/thread_pool.h"
 
@@ -37,6 +44,27 @@ double BestMs(size_t reps, Fn fn) {
 
 double PerSecond(size_t n, double ms) {
   return ms > 0.0 ? static_cast<double>(n) * 1000.0 / ms : 0.0;
+}
+
+/// One Tape forward per sequence through `encode`, a (ctx, seq) -> (1, cols)
+/// Var callable; returns the (n, cols) stacked outputs.
+template <typename Encode>
+dial::la::Matrix TapeForward(const std::vector<const dial::text::EncodedSequence*>& seqs,
+                             size_t cols, Encode encode) {
+  dial::la::Matrix out(seqs.size(), cols);
+  dial::util::Rng rng(1);
+  for (size_t i = 0; i < seqs.size(); ++i) {
+    dial::autograd::Tape tape;
+    dial::nn::ForwardContext ctx{&tape, &rng, /*training=*/false};
+    const dial::la::Matrix row = encode(ctx, *seqs[i]).value();
+    std::copy(row.row(0), row.row(0) + cols, out.row(i));
+  }
+  return out;
+}
+
+bool BitEqual(const dial::la::Matrix& a, const dial::la::Matrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::equal(a.data(), a.data() + a.size(), b.data());
 }
 
 }  // namespace
@@ -98,24 +126,57 @@ int main(int argc, char** argv) {
 
   // Warm the tokenization cache so both paths time pure model forwards.
   matcher.PredictProbs(cache, pairs);
+  std::vector<const dial::text::EncodedSequence*> pair_seqs;
+  for (const auto& pair : pairs) pair_seqs.push_back(&cache.Get(pair));
+
+  dial::tplm::TplmModel& model = matcher.model();
+  const size_t feature_dim = model.pair_feature_dim();
+  const size_t dim = config.transformer.dim;
+  // Throughput depends on shapes, not weight values: the Tape baseline's
+  // head only mirrors the matcher head's shapes.
+  dial::util::Rng head_rng(3);
+  dial::nn::Linear head_dense("tape_head.dense", feature_dim, dim, head_rng);
+  dial::nn::Linear head_out("tape_head.out", dim, 1, head_rng);
+  const auto tape_pair_features = [&] {
+    return TapeForward(pair_seqs, feature_dim,
+                       [&](dial::nn::ForwardContext& ctx,
+                           const dial::text::EncodedSequence& seq) {
+                         return model.EncodePairFeatures(ctx, seq);
+                       });
+  };
+  const auto tape_predict = [&] {
+    return TapeForward(
+        pair_seqs, 1,
+        [&](dial::nn::ForwardContext& ctx, const dial::text::EncodedSequence& seq) {
+          const dial::autograd::Var h = dial::autograd::Tanh(
+              head_dense.Forward(ctx, model.EncodePairFeatures(ctx, seq)));
+          return head_out.Forward(ctx, h);
+        });
+  };
+  const auto tape_embed = [&] {
+    dial::la::Matrix out = TapeForward(
+        records, dim,
+        [&](dial::nn::ForwardContext& ctx, const dial::text::EncodedSequence& seq) {
+          return model.EncodeSingle(ctx, seq);
+        });
+    dial::la::NormalizeRowsInPlace(out);
+    return out;
+  };
 
   // Parity gate: tape and engine must agree bit for bit before timing.
-  matcher.SetInferenceEngine(false);
-  const std::vector<float> tape_probs = matcher.PredictProbs(cache, pairs);
-  matcher.SetInferenceEngine(true);
-  const std::vector<float> engine_probs = matcher.PredictProbs(cache, pairs);
-  for (size_t i = 0; i < pairs.size(); ++i) {
-    DIAL_CHECK(tape_probs[i] == engine_probs[i])
-        << "tape/engine probability mismatch at pair " << i;
+  {
+    dial::autograd::InferenceContext ctx;
+    DIAL_CHECK(BitEqual(tape_pair_features(),
+                        model.EncodePairFeaturesBatch(ctx, pair_seqs)))
+        << "tape/engine pair-feature mismatch";
+    DIAL_CHECK(BitEqual(tape_embed(), matcher.EmbedSingleMode(records)))
+        << "tape/engine single-mode embedding mismatch";
   }
 
   // ------------------------------------------------- matcher PredictProbs
   {
     dial::util::WallTimer total;
-    matcher.SetInferenceEngine(false);
-    const double tape_ms =
-        BestMs(n_reps, [&] { matcher.PredictProbs(cache, pairs); });
-    matcher.SetInferenceEngine(true);
+    const double tape_ms = BestMs(n_reps, [&] { tape_predict(); });
     const double engine_ms =
         BestMs(n_reps, [&] { matcher.PredictProbs(cache, pairs); });
     matcher.SetThreadPool(&pool);
@@ -183,10 +244,7 @@ int main(int argc, char** argv) {
   // ------------------------------------------------- single-mode embedding
   {
     dial::util::WallTimer total;
-    matcher.SetInferenceEngine(false);
-    const double tape_ms =
-        BestMs(n_reps, [&] { matcher.EmbedSingleMode(records); });
-    matcher.SetInferenceEngine(true);
+    const double tape_ms = BestMs(n_reps, [&] { tape_embed(); });
     const double engine_ms =
         BestMs(n_reps, [&] { matcher.EmbedSingleMode(records); });
     matcher.SetThreadPool(&pool);

@@ -136,7 +136,6 @@ std::vector<Candidate> ActiveLearningLoop::BuildCandidates(size_t round,
       blocker.seed = config_.blocker.seed ^ (0x1000 + round);
       committee_ = std::make_unique<BlockerCommittee>(emb_r.cols(), blocker);
       committee_->SetThreadPool(pool_.get());
-      committee_->SetInferenceEngine(config_.inference_engine);
       committee_->SetInferencePrecision(ConfiguredPrecision(config_));
       std::vector<data::PairId> dups;
       for (const auto& e : labeled_.positives()) dups.push_back(e.pair);
@@ -157,7 +156,6 @@ std::vector<Candidate> ActiveLearningLoop::BuildCandidates(size_t round,
         timer.Restart();
         Matcher probe(pretrained_->config(), config_.matcher, config_.seed ^ 0xfef1);
         probe.SetThreadPool(pool_.get());
-        probe.SetInferenceEngine(config_.inference_engine);
         probe.SetInferencePrecision(ConfiguredPrecision(config_));
         probe.ResetFromPretrained(*pretrained_);
         const la::Matrix emb_r = EmbedAllR(probe);
@@ -186,7 +184,6 @@ std::vector<Candidate> ActiveLearningLoop::BuildCandidates(size_t round,
       sbert_ = std::make_unique<SentenceBertBlocker>(
           pretrained_->config(), config_.sbert, config_.seed ^ (0x5be7 + round));
       sbert_->SetThreadPool(pool_.get());
-      sbert_->SetInferenceEngine(config_.inference_engine);
       sbert_->SetInferencePrecision(ConfiguredPrecision(config_));
       sbert_->ResetFromPretrained(*pretrained_, 0xbeef + round);
       sbert_->Train(*encodings_, labeled_.AllPairs());
@@ -266,7 +263,6 @@ AlResult ActiveLearningLoop::Run() {
     matcher = std::make_unique<Matcher>(pretrained_->config(), matcher_config,
                                         config_.seed ^ 0x1111 ^ round);
     matcher->SetThreadPool(pool_.get());
-    matcher->SetInferenceEngine(config_.inference_engine);
     matcher->SetInferencePrecision(ConfiguredPrecision(config_));
     matcher->ResetFromPretrained(*pretrained_);
     matcher->Train(*pair_cache_, labeled_.AllPairs(), calibration_);
@@ -319,7 +315,6 @@ AlResult ActiveLearningLoop::Run() {
         boot_config.seed = matcher_config.seed ^ (0xb00 + m);
         Matcher boot(pretrained_->config(), boot_config, config_.seed ^ (0xc00 + m));
         boot.SetThreadPool(pool_.get());
-        boot.SetInferenceEngine(config_.inference_engine);
         boot.SetInferencePrecision(ConfiguredPrecision(config_));
         boot.ResetFromPretrained(*pretrained_);
         std::vector<data::LabeledPair> sample;

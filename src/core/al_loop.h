@@ -59,16 +59,10 @@ struct AlConfig {
   /// checkpoint fingerprint: a run checkpointed at one thread count resumes
   /// exactly under another.
   size_t num_threads = 0;
-  /// Route all model inference (pool scoring, embedding, committee encode)
-  /// through the tape-free batched inference engine instead of per-sequence
-  /// Tapes. Outputs are bit-identical either way (inference_test pins this),
-  /// so — like num_threads — it is excluded from the checkpoint fingerprint;
-  /// `false` is the tape-path baseline the bench axis measures against.
-  bool inference_engine = true;
   /// Numeric mode for the inference engine's linear sublayers: "fp32"
   /// (default) or "int8" (per-row-scaled weight + activation quantization,
-  /// la/quant.h). Unlike inference_engine, int8 is NOT bit-identical to the
-  /// Tape path — it changes pool scores and therefore AL trajectories — so a
+  /// la/quant.h). int8 is NOT bit-identical to the fp32 forward — it
+  /// changes pool scores and therefore AL trajectories — so a
   /// non-default value IS hashed into the checkpoint fingerprint (the
   /// default is skipped to keep existing fp32 checkpoints resumable). Gated
   /// by the F1-parity test in the AL golden harness; training stays fp32.
@@ -100,7 +94,7 @@ struct RoundMetrics {
   double t_index_retrieve = 0.0;
   double t_select = 0.0;  // includes t_predict
   /// Within t_select: matcher PredictProbs over the candidate set — the
-  /// model-forward share of selection (the tape-vs-engine bench axis).
+  /// model-forward share of selection.
   double t_predict = 0.0;
   /// Within t_train_committee (kDial) / t_index_retrieve (kPairedAdapt):
   /// single-mode embedding of all of R and S.

@@ -69,13 +69,13 @@ class CommitteeMember : public nn::Module {
   /// Differentiable transform of a batch of frozen embeddings (m, d) -> (m, d).
   autograd::Var Forward(nn::ForwardContext& ctx, autograd::Var embeddings);
 
-  /// Inference-only batch transform (tape-free engine by default; see
-  /// SetInferenceEngine).
+  /// Inference-only batch transform through the member's own tape-free
+  /// context (bit-identical to Forward with dropout off).
   la::Matrix Transform(const la::Matrix& embeddings);
 
   /// Tape-free Transform through an *external* context: const, so serving
   /// workers can encode through one shared member concurrently, each with
-  /// its own InferenceContext. Bit-identical to Transform on the engine path.
+  /// its own InferenceContext. Bit-identical to Transform.
   la::Matrix TransformWith(autograd::InferenceContext& ctx,
                            const la::Matrix& embeddings) const;
 
@@ -94,10 +94,6 @@ class CommitteeMember : public nn::Module {
   }
   util::ThreadPool* thread_pool() const { return pool_; }
 
-  /// Tape-free Transform (default on); `false` reverts to the Tape forward.
-  /// Bit-identical either way; training always uses the Tape.
-  void SetInferenceEngine(bool on) { use_inference_ = on; }
-
   /// Numeric mode for the engine's linear sublayer (default fp32; see
   /// Matcher::SetInferencePrecision).
   void SetInferencePrecision(autograd::Precision precision) {
@@ -108,10 +104,8 @@ class CommitteeMember : public nn::Module {
   la::Matrix mask_;  // (1, d) of {0,1}
   nn::Linear linear_;
   bool normalize_output_;
-  util::Rng scratch_rng_;  // dropout-free forward still needs a context rng
   util::ThreadPool* pool_ = nullptr;  // unowned; null = inline GEMMs
   autograd::InferenceContext infer_ctx_;  // tape-free activation arena
-  bool use_inference_ = true;
 };
 
 /// The full blocker: N members + their training loop.
@@ -151,11 +145,6 @@ class BlockerCommittee {
   /// always safe to set.
   void SetThreadPool(util::ThreadPool* pool) {
     for (auto& member : members_) member->SetThreadPool(pool);
-  }
-
-  /// Toggles every member's tape-free Transform path (see CommitteeMember).
-  void SetInferenceEngine(bool on) {
-    for (auto& member : members_) member->SetInferenceEngine(on);
   }
 
   /// Sets every member's engine precision (see CommitteeMember).

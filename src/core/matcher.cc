@@ -163,17 +163,6 @@ text::EncodedSequence Matcher::AugmentPair(const text::EncodedSequence& seq) {
   return out;
 }
 
-float Matcher::ForwardProb(const text::EncodedSequence& seq, la::Matrix* penultimate) {
-  autograd::Tape tape;
-  tape.SetThreadPool(pool_);
-  nn::ForwardContext ctx{&tape, &rng_, /*training=*/false};
-  Var cls = model_->EncodePairFeatures(ctx, seq);
-  Var h = autograd::Tanh(head_dense_->Forward(ctx, cls));
-  Var logit = head_out_->Forward(ctx, h);
-  if (penultimate != nullptr) *penultimate = h.value();
-  return 1.0f / (1.0f + std::exp(-logit.value()(0, 0)));
-}
-
 std::vector<const text::EncodedSequence*> Matcher::GatherPairSeqs(
     PairEncodingCache& pairs, const std::vector<data::PairId>& query) {
   std::vector<const text::EncodedSequence*> seqs;
@@ -200,11 +189,6 @@ void Matcher::InferHeadBatchWith(autograd::InferenceContext& ctx,
   if (h_out != nullptr) *h_out = *h;
 }
 
-void Matcher::InferHeadBatch(const std::vector<const text::EncodedSequence*>& seqs,
-                             la::Matrix* h_out, std::vector<float>* probs) {
-  InferHeadBatchWith(infer_ctx_, seqs, h_out, probs);
-}
-
 std::vector<float> Matcher::PredictProbsWith(
     autograd::InferenceContext& ctx,
     const std::vector<const text::EncodedSequence*>& seqs) const {
@@ -218,6 +202,9 @@ la::Matrix Matcher::EmbedSingleModeWith(
     autograd::InferenceContext& ctx,
     const std::vector<const text::EncodedSequence*>& seqs) const {
   la::Matrix out = model_->EncodeSingleBatch(ctx, seqs);
+  // Unit-normalized embeddings: L2 retrieval over them equals scaled-cosine
+  // retrieval, which is markedly better for mean-pooled record embeddings
+  // (record-length effects cancel).
   la::NormalizeRowsInPlace(out);
   return out;
 }
@@ -236,44 +223,23 @@ util::Status Matcher::LoadWeights(util::BinaryReader& reader) {
 
 std::vector<float> Matcher::PredictProbs(PairEncodingCache& pairs,
                                          const std::vector<data::PairId>& query) {
-  std::vector<float> probs(query.size());
-  if (query.empty()) return probs;
-  if (use_inference_) {
-    InferHeadBatch(GatherPairSeqs(pairs, query), nullptr, &probs);
-    return probs;
-  }
-  for (size_t i = 0; i < query.size(); ++i) {
-    probs[i] = ForwardProb(pairs.Get(query[i]), nullptr);
-  }
-  return probs;
+  return PredictProbsWith(infer_ctx_, GatherPairSeqs(pairs, query));
 }
 
 la::Matrix Matcher::BadgeEmbeddings(PairEncodingCache& pairs,
                                     const std::vector<data::PairId>& query) {
   const size_t d = model_->config().transformer.dim;
   la::Matrix out(query.size(), d + 1);
-  if (use_inference_) {
-    la::Matrix h;
-    std::vector<float> probs;
-    InferHeadBatch(GatherPairSeqs(pairs, query), &h, &probs);
-    for (size_t i = 0; i < query.size(); ++i) {
-      const float p = probs[i];
-      const float y_hat = p > 0.5f ? 1.0f : 0.0f;
-      const float g = p - y_hat;
-      float* row = out.row(i);
-      for (size_t c = 0; c < d; ++c) row[c] = g * h(i, c);
-      row[d] = g;  // bias column
-    }
-    return out;
-  }
+  la::Matrix h;
+  std::vector<float> probs;
+  InferHeadBatchWith(infer_ctx_, GatherPairSeqs(pairs, query), &h, &probs);
   for (size_t i = 0; i < query.size(); ++i) {
-    la::Matrix h;
-    const float p = ForwardProb(pairs.Get(query[i]), &h);
+    const float p = probs[i];
     const float y_hat = p > 0.5f ? 1.0f : 0.0f;
     // d/dlogit of BCE with the hallucinated label.
     const float g = p - y_hat;
     float* row = out.row(i);
-    for (size_t c = 0; c < d; ++c) row[c] = g * h(0, c);
+    for (size_t c = 0; c < d; ++c) row[c] = g * h(i, c);
     row[d] = g;  // bias column
   }
   return out;
@@ -281,40 +247,14 @@ la::Matrix Matcher::BadgeEmbeddings(PairEncodingCache& pairs,
 
 la::Matrix Matcher::PairRepresentations(PairEncodingCache& pairs,
                                         const std::vector<data::PairId>& query) {
-  const size_t d = model_->config().transformer.dim;
-  if (use_inference_) {
-    la::Matrix h;
-    InferHeadBatch(GatherPairSeqs(pairs, query), &h, nullptr);
-    return h;
-  }
-  la::Matrix out(query.size(), d);
-  for (size_t i = 0; i < query.size(); ++i) {
-    la::Matrix h;
-    ForwardProb(pairs.Get(query[i]), &h);
-    std::copy(h.row(0), h.row(0) + d, out.row(i));
-  }
-  return out;
+  la::Matrix h;
+  InferHeadBatchWith(infer_ctx_, GatherPairSeqs(pairs, query), &h, nullptr);
+  return h;
 }
 
 la::Matrix Matcher::EmbedSingleMode(
     const std::vector<const text::EncodedSequence*>& seqs) {
-  const size_t d = model_->config().transformer.dim;
-  if (use_inference_) {
-    return EmbedSingleModeWith(infer_ctx_, seqs);
-  }
-  la::Matrix out(seqs.size(), d);
-  for (size_t i = 0; i < seqs.size(); ++i) {
-    autograd::Tape tape;
-    tape.SetThreadPool(pool_);
-    nn::ForwardContext ctx{&tape, &rng_, /*training=*/false};
-    Var emb = model_->EncodeSingle(ctx, *seqs[i]);
-    std::copy(emb.value().row(0), emb.value().row(0) + d, out.row(i));
-  }
-  // Unit-normalized embeddings: L2 retrieval over them equals scaled-cosine
-  // retrieval, which is markedly better for mean-pooled record embeddings
-  // (record-length effects cancel).
-  la::NormalizeRowsInPlace(out);
-  return out;
+  return EmbedSingleModeWith(infer_ctx_, seqs);
 }
 
 }  // namespace dial::core

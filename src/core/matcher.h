@@ -14,7 +14,10 @@
 /// The DIAL matcher (Sec. 3.1): the TPLM in paired mode plus the
 /// classification head of Eq. 5, trained with binary cross entropy (Eq. 6)
 /// on the labeled pairs T. Exposes single-mode embeddings (the frozen E(x)
-/// the blocker builds on) and BADGE gradient embeddings.
+/// the blocker builds on) and BADGE gradient embeddings. Training records
+/// an autograd::Tape; every inference entry point runs the tape-free
+/// batched engine (bit-identical to the Tape forward with dropout off,
+/// asserted in inference_test).
 
 namespace dial::core {
 
@@ -126,15 +129,6 @@ class Matcher {
     infer_ctx_.SetThreadPool(pool);
   }
 
-  /// Toggles the tape-free batched inference engine behind PredictProbs /
-  /// BadgeEmbeddings / PairRepresentations / EmbedSingleMode (default on).
-  /// `false` reverts to the one-sequence-per-Tape path — outputs are
-  /// bit-identical either way (asserted in inference_test); the switch
-  /// exists for parity tests and the tape-vs-engine bench axis. Training
-  /// always uses the Tape.
-  void SetInferenceEngine(bool on) { use_inference_ = on; }
-  bool inference_engine() const { return use_inference_; }
-
   /// Numeric mode for the engine's linear sublayers (default fp32). int8 is
   /// NOT bit-identical — it is gated by the F1-parity test in the AL golden
   /// harness; training always stays fp32 on the Tape.
@@ -143,10 +137,6 @@ class Matcher {
   }
 
  private:
-  /// Probability and optional penultimate activation for one pair (the Tape
-  /// fallback path).
-  float ForwardProb(const text::EncodedSequence& seq, la::Matrix* penultimate);
-
   /// Gathers the cached pair encodings for `query` (in order).
   std::vector<const text::EncodedSequence*> GatherPairSeqs(
       PairEncodingCache& pairs, const std::vector<data::PairId>& query);
@@ -158,8 +148,6 @@ class Matcher {
   void InferHeadBatchWith(autograd::InferenceContext& ctx,
                           const std::vector<const text::EncodedSequence*>& seqs,
                           la::Matrix* h_out, std::vector<float>* probs) const;
-  void InferHeadBatch(const std::vector<const text::EncodedSequence*>& seqs,
-                      la::Matrix* h_out, std::vector<float>* probs);
 
   /// Piece-level perturbation of a pair encoding (train-time augmentation).
   text::EncodedSequence AugmentPair(const text::EncodedSequence& seq);
@@ -171,7 +159,6 @@ class Matcher {
   util::Rng rng_;
   util::ThreadPool* pool_ = nullptr;  // unowned; null = inline GEMMs
   autograd::InferenceContext infer_ctx_;  // tape-free activation arena
-  bool use_inference_ = true;
 };
 
 }  // namespace dial::core

@@ -74,20 +74,7 @@ double SentenceBertBlocker::Train(const RecordEncodings& encodings,
 
 la::Matrix SentenceBertBlocker::Embed(
     const std::vector<const text::EncodedSequence*>& seqs) {
-  if (use_inference_) {
-    la::Matrix out = model_->EncodeSingleBatch(infer_ctx_, seqs);
-    la::NormalizeRowsInPlace(out);
-    return out;
-  }
-  const size_t d = model_->config().transformer.dim;
-  la::Matrix out(seqs.size(), d);
-  for (size_t i = 0; i < seqs.size(); ++i) {
-    autograd::Tape tape;
-    tape.SetThreadPool(pool_);
-    nn::ForwardContext ctx{&tape, &rng_, /*training=*/false};
-    Var emb = model_->EncodeSingle(ctx, *seqs[i]);
-    std::copy(emb.value().row(0), emb.value().row(0) + d, out.row(i));
-  }
+  la::Matrix out = model_->EncodeSingleBatch(infer_ctx_, seqs);
   la::NormalizeRowsInPlace(out);
   return out;
 }

@@ -39,7 +39,8 @@ class SentenceBertBlocker {
   double Train(const RecordEncodings& encodings,
                const std::vector<data::LabeledPair>& labeled);
 
-  /// Embeds all of R (or S) with the fine-tuned transformer.
+  /// Embeds all of R (or S) with the fine-tuned transformer (tape-free
+  /// batched engine; training always uses the Tape).
   la::Matrix EmbedR(const RecordEncodings& encodings);
   la::Matrix EmbedS(const RecordEncodings& encodings);
 
@@ -50,11 +51,6 @@ class SentenceBertBlocker {
     pool_ = pool;
     infer_ctx_.SetThreadPool(pool);
   }
-
-  /// Tape-free batched embedding (default on); `false` reverts to the
-  /// one-sequence-per-Tape path. Bit-identical either way; training always
-  /// uses the Tape.
-  void SetInferenceEngine(bool on) { use_inference_ = on; }
 
   /// Numeric mode for the engine's linear sublayers (default fp32; see
   /// Matcher::SetInferencePrecision).
@@ -71,7 +67,6 @@ class SentenceBertBlocker {
   util::Rng rng_;
   util::ThreadPool* pool_ = nullptr;  // unowned; null = inline GEMMs
   autograd::InferenceContext infer_ctx_;  // tape-free activation arena
-  bool use_inference_ = true;
 };
 
 }  // namespace dial::core

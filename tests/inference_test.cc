@@ -2,8 +2,9 @@
 // (autograd::InferenceContext + the InferForward paths):
 //  - per-layer and end-to-end bit-identity with the Tape forward (dropout
 //    off): Linear, LayerNorm, Embedding, TransformerLayer, encoder, matcher
-//    probabilities, SBERT embeddings, committee transforms and vote entropy,
-//    TPLM eval loss;
+//    probabilities / BADGE rows / representations, SBERT embeddings,
+//    committee transforms and vote entropy, TPLM eval loss — the Tape side
+//    is driven through each layer's differentiable Forward directly;
 //  - batched == one-at-a-time across ragged length buckets (packing never
 //    changes a sequence's result);
 //  - bit-identity across 0/2/8 worker threads;
@@ -14,10 +15,12 @@
 #include <atomic>
 #include <cmath>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "autograd/inference.h"
+#include "autograd/ops.h"
 #include "core/committee.h"
 #include "core/encodings.h"
 #include "core/matcher.h"
@@ -27,6 +30,7 @@
 #include "nn/layers.h"
 #include "nn/transformer.h"
 #include "tplm/tplm.h"
+#include "util/serialize.h"
 #include "util/thread_pool.h"
 
 namespace dial {
@@ -445,6 +449,65 @@ class EndToEndFixture : public testing::Test {
   std::unique_ptr<tplm::TplmModel> pretrained_;
 };
 
+/// Tape reference for a Matcher's inference outputs: the same weights,
+/// round-tripped through SaveWeights, driven one pair at a time through the
+/// differentiable forward the trainer records (dropout off).
+class TapeMatcher {
+ public:
+  TapeMatcher(core::Matcher& matcher, const tplm::TplmConfig& config,
+              const std::string& tag)
+      : rng_(1),
+        model_("matcher_tplm", config, 0),
+        dense_("matcher_head.dense", model_.pair_feature_dim(),
+               config.transformer.dim, rng_),
+        out_("matcher_head.out", config.transformer.dim, 1, rng_) {
+    const std::string path = testing::TempDir() + "/tape_matcher_" + tag + ".bin";
+    constexpr uint32_t kMagic = 0x45504154;  // "TAPE"
+    {
+      util::BinaryWriter writer(path, kMagic, 1);
+      matcher.SaveWeights(writer);
+      EXPECT_TRUE(writer.Finish().ok());
+    }
+    util::BinaryReader reader(path, kMagic, 1);
+    EXPECT_TRUE(model_.Load(reader).ok());
+    EXPECT_TRUE(dense_.Load(reader).ok());
+    EXPECT_TRUE(out_.Load(reader).ok());
+  }
+
+  /// P(duplicate) of one pair; `h` receives the (1, d) penultimate row.
+  float Prob(const text::EncodedSequence& seq, la::Matrix* h = nullptr) {
+    autograd::Tape tape;
+    nn::ForwardContext ctx{&tape, &rng_, /*training=*/false};
+    autograd::Var cls = model_.EncodePairFeatures(ctx, seq);
+    autograd::Var hidden = autograd::Tanh(dense_.Forward(ctx, cls));
+    autograd::Var logit = out_.Forward(ctx, hidden);
+    if (h != nullptr) *h = hidden.value();
+    return 1.0f / (1.0f + std::exp(-logit.value()(0, 0)));
+  }
+
+ private:
+  util::Rng rng_;
+  tplm::TplmModel model_;
+  nn::Linear dense_;
+  nn::Linear out_;
+};
+
+/// Unit-normalized single-mode Tape embeddings, one sequence per Tape.
+la::Matrix TapeSingleMode(tplm::TplmModel& model,
+                          const std::vector<const text::EncodedSequence*>& seqs) {
+  const size_t d = model.config().transformer.dim;
+  la::Matrix out(seqs.size(), d);
+  for (size_t i = 0; i < seqs.size(); ++i) {
+    autograd::Tape tape;
+    util::Rng tape_rng(1);
+    nn::ForwardContext tctx{&tape, &tape_rng, /*training=*/false};
+    const la::Matrix emb = model.EncodeSingle(tctx, *seqs[i]).value();
+    std::copy(emb.row(0), emb.row(0) + d, out.row(i));
+  }
+  la::NormalizeRowsInPlace(out);
+  return out;
+}
+
 TEST_F(EndToEndFixture, MatcherOutputsMatchTapePath) {
   core::PairEncodingCache cache(&bundle_, vocab_.get(), config_.max_pair_len);
   core::MatcherConfig mc;
@@ -452,22 +515,27 @@ TEST_F(EndToEndFixture, MatcherOutputsMatchTapePath) {
   matcher.ResetFromPretrained(*pretrained_);
   const auto query = AllPairs();
 
-  ASSERT_TRUE(matcher.inference_engine());
-  const auto probs_engine = matcher.PredictProbs(cache, query);
-  const la::Matrix badge_engine = matcher.BadgeEmbeddings(cache, query);
-  const la::Matrix reps_engine = matcher.PairRepresentations(cache, query);
+  const auto probs = matcher.PredictProbs(cache, query);
+  const la::Matrix badge = matcher.BadgeEmbeddings(cache, query);
+  const la::Matrix reps = matcher.PairRepresentations(cache, query);
 
-  matcher.SetInferenceEngine(false);
-  const auto probs_tape = matcher.PredictProbs(cache, query);
-  const la::Matrix badge_tape = matcher.BadgeEmbeddings(cache, query);
-  const la::Matrix reps_tape = matcher.PairRepresentations(cache, query);
-
-  ASSERT_EQ(probs_engine.size(), probs_tape.size());
-  for (size_t i = 0; i < probs_engine.size(); ++i) {
-    ASSERT_EQ(probs_engine[i], probs_tape[i]) << "pair " << i;
+  TapeMatcher tape(matcher, config_, "outputs");
+  const size_t d = config_.transformer.dim;
+  ASSERT_EQ(probs.size(), query.size());
+  ASSERT_EQ(badge.cols(), d + 1);
+  ASSERT_EQ(reps.cols(), d);
+  for (size_t i = 0; i < query.size(); ++i) {
+    la::Matrix h;
+    const float p = tape.Prob(cache.Get(query[i]), &h);
+    ASSERT_EQ(probs[i], p) << "pair " << i;
+    // BADGE row: (p - ŷ) · [h ; 1] with ŷ the most likely label.
+    const float g = p - (p > 0.5f ? 1.0f : 0.0f);
+    for (size_t c = 0; c < d; ++c) {
+      ASSERT_EQ(reps(i, c), h(0, c)) << "pair " << i << " col " << c;
+      ASSERT_EQ(badge(i, c), g * h(0, c)) << "pair " << i << " col " << c;
+    }
+    ASSERT_EQ(badge(i, d), g) << "pair " << i;
   }
-  ExpectBitEqual(badge_tape, badge_engine);
-  ExpectBitEqual(reps_tape, reps_engine);
 }
 
 TEST_F(EndToEndFixture, MatcherSingleModeEmbeddingsMatchTapePath) {
@@ -479,10 +547,7 @@ TEST_F(EndToEndFixture, MatcherSingleModeEmbeddingsMatchTapePath) {
   core::MatcherConfig mc;
   core::Matcher matcher(config_, mc, 5);
   matcher.ResetFromPretrained(*pretrained_);
-  const la::Matrix engine = matcher.EmbedSingleMode(seqs);
-  matcher.SetInferenceEngine(false);
-  const la::Matrix tape = matcher.EmbedSingleMode(seqs);
-  ExpectBitEqual(tape, engine);
+  ExpectBitEqual(TapeSingleMode(matcher.model(), seqs), matcher.EmbedSingleMode(seqs));
 }
 
 TEST_F(EndToEndFixture, SbertEmbeddingsMatchTapePath) {
@@ -490,13 +555,12 @@ TEST_F(EndToEndFixture, SbertEmbeddingsMatchTapePath) {
   core::SbertConfig sc;
   core::SentenceBertBlocker blocker(config_, sc, 9);
   blocker.ResetFromPretrained(*pretrained_, 0x1234);
-  const la::Matrix engine_r = blocker.EmbedR(encodings);
-  const la::Matrix engine_s = blocker.EmbedS(encodings);
-  blocker.SetInferenceEngine(false);
-  const la::Matrix tape_r = blocker.EmbedR(encodings);
-  const la::Matrix tape_s = blocker.EmbedS(encodings);
-  ExpectBitEqual(tape_r, engine_r);
-  ExpectBitEqual(tape_s, engine_s);
+  std::vector<const text::EncodedSequence*> r_seqs;
+  std::vector<const text::EncodedSequence*> s_seqs;
+  for (size_t i = 0; i < encodings.r_size(); ++i) r_seqs.push_back(&encodings.R(i));
+  for (size_t i = 0; i < encodings.s_size(); ++i) s_seqs.push_back(&encodings.S(i));
+  ExpectBitEqual(TapeSingleMode(blocker.model(), r_seqs), blocker.EmbedR(encodings));
+  ExpectBitEqual(TapeSingleMode(blocker.model(), s_seqs), blocker.EmbedS(encodings));
 }
 
 TEST(InferenceEngine, CommitteeTransformMatchesTapePath) {
@@ -507,17 +571,19 @@ TEST(InferenceEngine, CommitteeTransformMatchesTapePath) {
     core::BlockerCommittee committee(16, config);
     const la::Matrix embeddings = RandomMatrix(10, 16, 31);
     for (size_t k = 0; k < committee.size(); ++k) {
-      const la::Matrix engine = committee.Encode(k, embeddings);
-      committee.member(k).SetInferenceEngine(false);
-      const la::Matrix tape = committee.Encode(k, embeddings);
-      ExpectBitEqual(tape, engine);
+      autograd::Tape tape;
+      util::Rng tape_rng(1);
+      nn::ForwardContext tctx{&tape, &tape_rng, /*training=*/false};
+      const la::Matrix expected =
+          committee.member(k).Forward(tctx, tape.Constant(embeddings)).value();
+      ExpectBitEqual(expected, committee.Encode(k, embeddings));
     }
   }
 }
 
 TEST_F(EndToEndFixture, CommitteeVoteEntropyMatchesTapePath) {
   // QBC-style vote entropy over a 3-matcher committee: the selector-visible
-  // quantity must be identical on both inference paths.
+  // quantity must equal the one computed from Tape forwards.
   core::PairEncodingCache cache(&bundle_, vocab_.get(), config_.max_pair_len);
   const auto query = AllPairs();
   std::vector<std::vector<float>> engine_probs;
@@ -528,8 +594,10 @@ TEST_F(EndToEndFixture, CommitteeVoteEntropyMatchesTapePath) {
     core::Matcher matcher(config_, mc, 50 + m);
     matcher.ResetFromPretrained(*pretrained_);
     engine_probs.push_back(matcher.PredictProbs(cache, query));
-    matcher.SetInferenceEngine(false);
-    tape_probs.push_back(matcher.PredictProbs(cache, query));
+    TapeMatcher tape(matcher, config_, "vote" + std::to_string(m));
+    std::vector<float> probs;
+    for (const auto& pair : query) probs.push_back(tape.Prob(cache.Get(pair)));
+    tape_probs.push_back(probs);
   }
   for (size_t i = 0; i < query.size(); ++i) {
     double mean_engine = 0.0;

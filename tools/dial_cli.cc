@@ -129,10 +129,6 @@ int CmdRun(int argc, char** argv) {
   std::string* checkpoint =
       flags.AddString("checkpoint", "", "write a checkpoint here after each round");
   bool* resume = flags.AddBool("resume", false, "restore --checkpoint before running");
-  bool* inference = flags.AddBool(
-      "inference", true,
-      "tape-free batched inference engine (off = per-sequence Tape forwards; "
-      "bit-identical results either way)");
   std::string* precision = flags.AddString(
       "precision", "fp32",
       "fp32|int8 inference numerics (int8 quantizes the engine's linear "
@@ -174,7 +170,6 @@ int CmdRun(int argc, char** argv) {
   al.index_refresh = *refresh;
   if (*refresh_iters > 0) al.refresh.warm_iterations = static_cast<size_t>(*refresh_iters);
   al.refresh.drift_threshold = *drift;
-  al.inference_engine = *inference;
   al.inference_precision = *precision;
 
   dial::core::ActiveLearningLoop loop(&exp.bundle, &exp.vocab,

@@ -1,14 +1,23 @@
 // Kernel-layer microbenchmarks: blocked GEMM vs the pre-refactor scalar
-// kernel, pool-threaded GEMM scaling, and the batched distance scans the
-// index backends run on. CI's bench-smoke job archives the records as
+// kernel, pool-threaded GEMM scaling, the pooled-vs-inline crossover at the
+// training tape's GEMM shapes, and the batched distance scans the index
+// backends run on. CI's bench-smoke job archives the records as
 // BENCH_la.json; the `speedup_vs_naive` metric is the acceptance gate for
 // the kernel layer (>= 2x single-thread GEMM throughput vs the old loop).
+//
+// The crossover sweep times each shape two ways: inline, and forced through
+// the pool (rows split over the workers whatever the size, as every tape
+// GEMM was before util::kMinParallelWork). `pooled_over_inline` above 1
+// means the pool's hand-off costs more than it saves at that shape; the
+// cutoff should sit where it crosses 1. The `dispatch` column names the
+// path the library takes for that shape under the current cutoff.
 //
 // The "naive" baselines below are verbatim re-implementations of the
 // pre-kernel-layer src/la/matrix.cc loops (ikj GEMM with the `av == 0.0f`
 // sparsity branch, single-accumulator distance scans) so the recorded ratio
 // tracks exactly the refactor's win, not a strawman.
 
+#include <array>
 #include <cmath>
 #include <cstdio>
 #include <vector>
@@ -74,6 +83,40 @@ double BestMs(size_t reps, Fn fn) {
 
 double Gflops(size_t m, size_t n, size_t k, double ms) {
   return ms > 0.0 ? 2.0 * static_cast<double>(m * n * k) / (ms * 1e6) : 0.0;
+}
+
+/// Best-of-`reps` wall microseconds per call. Each rep repeats `fn` until
+/// it has run for at least 2 ms, so microsecond GEMMs are timed well above
+/// the clock's resolution.
+template <typename Fn>
+double BestUsPerCall(size_t reps, Fn fn) {
+  size_t calls = 1;
+  for (;;) {
+    dial::util::WallTimer timer;
+    for (size_t c = 0; c < calls; ++c) fn();
+    if (timer.Seconds() >= 2e-3) break;
+    calls *= 2;
+  }
+  double best = 1e300;
+  for (size_t r = 0; r < reps; ++r) {
+    dial::util::WallTimer timer;
+    for (size_t c = 0; c < calls; ++c) fn();
+    best = std::min(best, timer.Seconds() * 1e6 / static_cast<double>(calls));
+  }
+  return best;
+}
+
+/// GemmNN with its output rows split over the pool regardless of size: no
+/// work estimate reaches ParallelFor, so this is the dispatch every pooled
+/// GEMM had before the work cutoff. Each chunk runs the inline kernel on
+/// its row block, which the kernel contract makes bit-identical.
+void GemmNNAlwaysPooled(size_t m, size_t n, size_t k, const float* a,
+                        const float* b, float* out,
+                        dial::util::ThreadPool* pool) {
+  dial::util::ParallelFor(pool, m, [=](size_t begin, size_t end) {
+    dial::la::kernels::GemmNN(end - begin, n, k, a + begin * k, b,
+                              out + begin * n);
+  });
 }
 
 bool BitIdentical(const Matrix& a, const Matrix& b) {
@@ -173,6 +216,72 @@ int main(int argc, char** argv) {
               {"speedup_vs_naive", speedup_vs_naive},
               {"speedup_pooled", speedup_pooled}},
              total.Seconds() * 1000.0);
+  }
+
+  // ------------------------------------------- pooled vs inline crossover
+  {
+    // (m, n, k) of the training tape's GEMMs: rows 16..1024 against the
+    // model's 32/64-wide projections, plus the MLM head's vocabulary GEMM.
+    std::vector<std::array<size_t, 3>> shapes;
+    for (size_t m = 16; m <= 1024; m *= 2) {
+      for (const size_t n : {32, 64}) {
+        for (const size_t k : {32, 64}) shapes.push_back({m, n, k});
+      }
+    }
+    shapes.push_back({64, 2048, 32});
+
+    dial::util::TablePrinter table({"gemm m x n x k", "work", "inline us",
+                                    "pooled us", "pooled/inline",
+                                    "dispatch"});
+    for (const auto& [m, n, k] : shapes) {
+      const Matrix a = Random(m, k, 5);
+      const Matrix b = Random(k, n, 6);
+      Matrix inline_out(m, n, 0.0f), pooled_out(m, n, 0.0f);
+      dial::la::kernels::GemmNN(m, n, k, a.data(), b.data(),
+                                inline_out.data());
+      GemmNNAlwaysPooled(m, n, k, a.data(), b.data(), pooled_out.data(),
+                         &pool);
+      DIAL_CHECK(BitIdentical(pooled_out, inline_out))
+          << "pooled GEMM diverged from inline GEMM at " << m << "x" << n
+          << "x" << k;
+
+      dial::util::WallTimer total;
+      Matrix out(m, n, 0.0f);
+      const double inline_us = BestUsPerCall(n_reps, [&] {
+        dial::la::kernels::GemmNN(m, n, k, a.data(), b.data(), out.data());
+      });
+      const double pooled_us = BestUsPerCall(n_reps, [&] {
+        GemmNNAlwaysPooled(m, n, k, a.data(), b.data(), out.data(), &pool);
+      });
+      const size_t work = m * n * k;
+      const double pooled_over_inline =
+          inline_us > 0.0 ? pooled_us / inline_us : 0.0;
+      const char* dispatch =
+          work < dial::util::kMinParallelWork ? "inline" : "pooled";
+      table.AddRow({dial::util::StrFormat("%zux%zux%zu", m, n, k),
+                    std::to_string(work),
+                    dial::util::TablePrinter::Num(inline_us, 1),
+                    dial::util::TablePrinter::Num(pooled_us, 1),
+                    dial::util::TablePrinter::Num(pooled_over_inline, 2),
+                    dispatch});
+      json.Add("la_micro",
+               {{"op", "gemm_pooled_vs_inline"},
+                {"scale", *scale},
+                {"m", std::to_string(m)},
+                {"n", std::to_string(n)},
+                {"k", std::to_string(k)},
+                {"threads", std::to_string(*threads)},
+                {"dispatch", dispatch}},
+               {{"inline_us", inline_us},
+                {"pooled_us", pooled_us},
+                {"pooled_over_inline", pooled_over_inline}},
+               total.Seconds() * 1000.0);
+    }
+    std::printf("%s", table.ToString().c_str());
+    std::printf(
+        "dispatch = the path GemmNN with a pool takes: inline below "
+        "util::kMinParallelWork = %zu multiply-adds, pooled at or above it\n\n",
+        dial::util::kMinParallelWork);
   }
 
   // ------------------------------------------------------- batch distances

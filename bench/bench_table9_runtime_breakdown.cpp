@@ -1,9 +1,10 @@
 // Table 9: wall seconds of each DIAL operation in the final AL round —
 // matcher training, committee training (incl. single-mode embedding),
-// indexing & retrieval, and selection. `--threads` exercises the AL loop's
-// blocking-step worker pool (AlConfig::num_threads; identical metrics, lower
-// index+retrieve wall time), and `--json_out` archives the breakdown for
-// CI's BENCH_index.json artifact.
+// indexing & retrieval, and selection. `--threads` sizes the AL loop's
+// worker pool (AlConfig::num_threads; identical metrics — CI records
+// --threads 0 and 2 so the per-phase pooled/inline ratio is on file), and
+// `--json_out` archives the breakdown for CI's BENCH_table9_runtime.json
+// artifact.
 //
 // The lifecycle axis: each dataset runs twice, with warm-start index refresh
 // on (rounds >= 2 Refresh the previous round's blocker indexes) and off (the
@@ -20,7 +21,7 @@
 int main(int argc, char** argv) {
   dial::bench::BenchFlags flags;
   int64_t* threads =
-      flags.flags.AddInt("threads", 0, "blocking-step worker threads (0 = inline)");
+      flags.flags.AddInt("threads", 0, "AL-loop worker threads (0 = inline)");
   std::string* backend =
       flags.flags.AddString("backend", "ivfpq", "blocker index backend");
   std::string* refresh_json_out = flags.flags.AddString(

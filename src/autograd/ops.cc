@@ -790,14 +790,18 @@ Var PairwiseSquaredDistance(Var a, Var b) {
   const size_t d = a.cols();
   la::Matrix v(m, n);
   // One batched scan of b per row of a (bit-identical to the scalar kernel);
-  // rows are independent, so they fan out over the tape's pool.
+  // rows are independent, so large calls fan out over the tape's pool.
   const la::Matrix& av = a.value();
   const la::Matrix& bv = b.value();
-  util::ParallelFor(TapeOf(a).pool(), m, [&](size_t begin, size_t end) {
-    for (size_t i = begin; i < end; ++i) {
-      la::kernels::SquaredDistanceBatch(av.row(i), bv.data(), n, d, v.row(i));
-    }
-  });
+  util::ParallelFor(
+      TapeOf(a).pool(), m,
+      [&](size_t begin, size_t end) {
+        for (size_t i = begin; i < end; ++i) {
+          la::kernels::SquaredDistanceBatch(av.row(i), bv.data(), n, d,
+                                            v.row(i));
+        }
+      },
+      m * n * d);
   const bool rg = a.requires_grad() || b.requires_grad();
   Node* na = a.node();
   Node* nb = b.node();

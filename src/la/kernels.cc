@@ -26,27 +26,36 @@ void GemmNN(size_t m, size_t n, size_t k, const float* a, const float* b,
             float* out, util::ThreadPool* pool) {
   if (m == 0 || n == 0 || k == 0) return;
   const arch::KernelTable& table = arch::Active();
-  util::ParallelFor(pool, m, [=, &table](size_t begin, size_t end) {
-    table.gemm_nn_range(begin, end, n, k, a, b, out);
-  });
+  util::ParallelFor(
+      pool, m,
+      [=, &table](size_t begin, size_t end) {
+        table.gemm_nn_range(begin, end, n, k, a, b, out);
+      },
+      m * n * k);
 }
 
 void GemmTN(size_t m, size_t n, size_t k, const float* a, const float* b,
             float* out, util::ThreadPool* pool) {
   if (m == 0 || n == 0 || k == 0) return;
   const arch::KernelTable& table = arch::Active();
-  util::ParallelFor(pool, m, [=, &table](size_t begin, size_t end) {
-    table.gemm_tn_range(begin, end, m, n, k, a, b, out);
-  });
+  util::ParallelFor(
+      pool, m,
+      [=, &table](size_t begin, size_t end) {
+        table.gemm_tn_range(begin, end, m, n, k, a, b, out);
+      },
+      m * n * k);
 }
 
 void GemmNT(size_t m, size_t n, size_t k, const float* a, const float* b,
             float* out, util::ThreadPool* pool) {
   if (m == 0 || n == 0 || k == 0) return;
   const arch::KernelTable& table = arch::Active();
-  util::ParallelFor(pool, m, [=, &table](size_t begin, size_t end) {
-    table.gemm_nt_range(begin, end, n, k, a, b, out);
-  });
+  util::ParallelFor(
+      pool, m,
+      [=, &table](size_t begin, size_t end) {
+        table.gemm_nt_range(begin, end, n, k, a, b, out);
+      },
+      m * n * k);
 }
 
 void TransposeBlocked(size_t rows, size_t cols, const float* DIAL_RESTRICT in,
@@ -121,10 +130,13 @@ void GemmInt8NT(size_t m, size_t n, size_t k, const int8_t* a,
                 const float* bias, float* out, util::ThreadPool* pool) {
   if (m == 0 || n == 0) return;
   const arch::KernelTable& table = arch::Active();
-  util::ParallelFor(pool, m, [=, &table](size_t begin, size_t end) {
-    table.gemm_int8_nt_range(begin, end, n, k, a, a_scales, b, b_scales, bias,
-                             out);
-  });
+  util::ParallelFor(
+      pool, m,
+      [=, &table](size_t begin, size_t end) {
+        table.gemm_int8_nt_range(begin, end, n, k, a, a_scales, b, b_scales,
+                                 bias, out);
+      },
+      m * n * k);
 }
 
 }  // namespace dial::la::kernels

@@ -39,8 +39,12 @@
 ///
 /// Threading: the Gemm* entry points take an optional util::ThreadPool and
 /// fan out over contiguous output-row blocks (deterministic partials as
-/// above). Null pool, a single worker, or nested calls from a pool worker
-/// all degrade to inline execution via util::ParallelFor.
+/// above). Each passes m*n*k to util::ParallelFor as its work estimate, so
+/// a GEMM below util::kMinParallelWork (2^18 multiply-adds, measurements
+/// in util/thread_pool.h) runs inline even with a pool: at that size the
+/// pool's hand-off costs more than the GEMM. A single output row, a null
+/// pool, a single worker, or nested calls from a pool worker also run
+/// inline.
 
 namespace dial::util {
 class ThreadPool;

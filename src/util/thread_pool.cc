@@ -32,8 +32,14 @@ void ThreadPool::Submit(std::function<void()> fn) {
     std::unique_lock<std::mutex> lock(mu_);
     tasks_.push(std::move(fn));
     ++in_flight_;
+    ++submitted_;
   }
   task_ready_.notify_one();
+}
+
+size_t ThreadPool::tasks_submitted() const {
+  std::unique_lock<std::mutex> lock(mu_);
+  return submitted_;
 }
 
 void ThreadPool::Wait() {
@@ -69,9 +75,10 @@ bool ThreadPool::InWorkerThread() const {
 }
 
 void ParallelFor(ThreadPool* pool, size_t n,
-                 const std::function<void(size_t, size_t)>& fn) {
+                 const std::function<void(size_t, size_t)>& fn, size_t work) {
   if (n == 0) return;
-  if (pool == nullptr || pool->num_threads() <= 1 || pool->InWorkerThread()) {
+  if (n == 1 || work < kMinParallelWork || pool == nullptr ||
+      pool->num_threads() <= 1 || pool->InWorkerThread()) {
     fn(0, n);
     return;
   }

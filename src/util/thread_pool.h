@@ -2,6 +2,8 @@
 #define DIAL_UTIL_THREAD_POOL_H_
 
 #include <condition_variable>
+#include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <mutex>
 #include <queue>
@@ -13,6 +15,12 @@
 /// data-parallel gradient accumulation and batched index probes. On this
 /// project's reference hardware (2 cores) parallelism is a modest win; all
 /// callers also work with `num_threads == 0` (inline execution).
+///
+/// Handing a call to the pool costs a queue push, a worker wake-up and a
+/// latch wait: bench_la_micro's `gemm_pooled_vs_inline` records for the
+/// 16-row GEMMs read 21-28 us pooled against 1-3 us inline on a 4-core
+/// AVX-512 host. So `ParallelFor` only fans out calls that carry enough
+/// work to repay it (see `kMinParallelWork`).
 
 namespace dial::util {
 
@@ -30,6 +38,11 @@ class ThreadPool {
 
   /// Enqueues a task; returns immediately (or runs inline if no workers).
   void Submit(std::function<void()> fn);
+
+  /// Tasks queued to the workers since construction (inline Submits on a
+  /// worker-less pool are not counted). Read under the pool's mutex, so a
+  /// test can count how many tasks a call handed to the pool.
+  size_t tasks_submitted() const;
 
   /// Blocks until the pool is fully drained (no queued or running tasks from
   /// *any* submitter). Only meaningful for a caller that owns all outstanding
@@ -50,18 +63,39 @@ class ThreadPool {
   std::vector<std::thread> workers_;
   std::vector<std::thread::id> worker_ids_;
   std::queue<std::function<void()>> tasks_;
-  std::mutex mu_;
+  mutable std::mutex mu_;
   std::condition_variable task_ready_;
   std::condition_variable all_done_;
   size_t in_flight_ = 0;
+  size_t submitted_ = 0;
   bool shutdown_ = false;
 };
 
+/// Work (multiply-adds, or a comparable per-element cost) below which
+/// `ParallelFor` runs inline even with a pool. 2^18 is the 2-worker
+/// crossover of the tape's row-split GEMMs measured on a 4-core AVX-512
+/// host: pooled over inline time was 3.42x at 40x32x32, 1.45x at 64x64x32,
+/// 0.92x at 64x64x64 and 0.67x at 256x64x64. bench_la_micro's hot-loop
+/// sweep of isolated GEMMs (`pooled_over_inline` in BENCH_la.json) puts the
+/// crossover higher on the same host, near 2^20, so a GEMM between the two
+/// may still run slower on the pool (about 3x, some 20 us, at 64x64x64 in
+/// that sweep). Every tape GEMM of the dim-32 model with at most 64
+/// positions lies below 2^18; the MLM head's 64x2048x32 vocabulary GEMM
+/// lies above both. The inference engine's GEMMs over a full pack (FFN
+/// 480x64x32, CLS-mode K/V 480x32x32) lie between the two. They reach the
+/// pool only when a call holds a single pack (packs of a multi-pack call
+/// run on workers, where nested calls run inline), and there one-pack
+/// predict timed the same with the cutoff at 2^18 or 2^20.
+inline constexpr size_t kMinParallelWork = size_t{1} << 18;
+
 /// Splits [0, n) into contiguous chunks and runs `fn(begin, end)` on the
-/// pool; blocks until complete. Runs inline with a null pool, with fewer
-/// than two workers, or when called from one of the pool's own workers
-/// (nested data-parallelism degrades gracefully instead of deadlocking).
-/// Chunk boundaries never change results for callers whose iterations are
+/// pool; blocks until complete. Runs `fn(0, n)` inline on the caller with a
+/// null pool, with fewer than two workers, when `n == 1`, when `work` (the
+/// caller's estimate of the whole call's cost, e.g. m*n*k for a GEMM) is
+/// below `kMinParallelWork`, or when called from one of the pool's own
+/// workers (nested data-parallelism degrades gracefully instead of
+/// deadlocking). Callers that pass no estimate always fan out. Chunk
+/// boundaries never change results for callers whose iterations are
 /// independent, which is what the index layer's determinism guarantee
 /// (threaded Search bit-identical to inline) rests on.
 ///
@@ -69,7 +103,8 @@ class ThreadPool {
 /// latch, so each caller returns exactly when its own chunks finish, even
 /// while other threads keep the pool busy.
 void ParallelFor(ThreadPool* pool, size_t n,
-                 const std::function<void(size_t, size_t)>& fn);
+                 const std::function<void(size_t, size_t)>& fn,
+                 size_t work = SIZE_MAX);
 
 }  // namespace dial::util
 

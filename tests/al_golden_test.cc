@@ -26,6 +26,11 @@
 ///     0 and resuming must reproduce the straight-through run exactly —
 ///     metrics and final labeled set — with index refresh both on and off
 ///     (on exercises the IbcIndexCache warm-state serialization).
+///
+///  3. Threaded ≡ inline: the flat configuration run with a loop-owned
+///     2-worker pool must print the same snapshot as the inline run. Both
+///     runs happen in this process, so this pin holds on every host, while
+///     the golden file's floats are tied to the platform that wrote it.
 
 namespace dial::core {
 namespace {
@@ -130,6 +135,20 @@ TEST(AlGolden, TwoRoundRunMatchesGoldenFile) {
   EXPECT_EQ(snapshot, want.str())
       << "end-to-end AL outputs changed; if intended, regenerate with "
          "DIAL_REGEN_GOLDEN=1 ./al_golden_test";
+}
+
+TEST(AlGolden, ThreadedRunMatchesInlineRun) {
+  const AlConfig inline_config =
+      GoldenConfig(IndexBackend::kFlat, /*refresh=*/true);
+  ASSERT_EQ(inline_config.num_threads, 0u);
+  AlConfig threaded_config = inline_config;
+  threaded_config.num_threads = 2;
+  const auto [inline_result, inline_ckpt] =
+      RunWithCheckpoint(inline_config, TempPath("threads0_flat.ckpt"));
+  const auto [threaded_result, threaded_ckpt] =
+      RunWithCheckpoint(threaded_config, TempPath("threads2_flat.ckpt"));
+  EXPECT_EQ(Snapshot("flat_refresh", threaded_result, threaded_ckpt),
+            Snapshot("flat_refresh", inline_result, inline_ckpt));
 }
 
 /// The int8 quantized-inference parity gate (see la/quant.h): running the

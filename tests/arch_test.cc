@@ -108,19 +108,22 @@ struct KernelOutputs {
 struct KernelInputs {
   // Deliberately awkward sizes: every tail path (n % 16 row reduction,
   // m % 4 GEMM rows / k-steps, m % 4 ADC subspaces, n % 8 ADC codes) runs.
-  static constexpr size_t kM = 13, kN = 37, kK = 83;
+  // The GEMM row count `m` is a parameter so a case above
+  // util::kMinParallelWork can reach the pool's row split.
+  static constexpr size_t kN = 37, kK = 83;
   static constexpr size_t kRows = 19, kDim = 53;
   static constexpr size_t kSub = 11, kKsub = 14, kCodes = 29;
 
+  size_t m;
   std::vector<float> a, b_nn, b_nt, a_tn, q, base, dots, base_sq, table;
   std::vector<uint8_t> codes;
 
-  explicit KernelInputs(uint64_t seed) {
+  KernelInputs(uint64_t seed, size_t gemm_rows) : m(gemm_rows) {
     util::Rng rng(seed);
-    a = RandomVec(rng, kM * kK);
+    a = RandomVec(rng, m * kK);
     b_nn = RandomVec(rng, kK * kN);
     b_nt = RandomVec(rng, kN * kK);
-    a_tn = RandomVec(rng, kK * kM);
+    a_tn = RandomVec(rng, kK * m);
     q = RandomVec(rng, kDim);
     base = RandomVec(rng, kRows * kDim);
     dots = RandomVec(rng, kRows);
@@ -149,14 +152,14 @@ KernelOutputs ComputeAll(const KernelInputs& in, util::ThreadPool* pool) {
   out.from_dots.resize(I::kRows);
   kernels::SquaredDistanceFromDots(1.75f, in.dots.data(), in.base_sq.data(),
                                    I::kRows, out.from_dots.data());
-  out.gemm_nn.assign(I::kM * I::kN, 0.125f);
-  kernels::GemmNN(I::kM, I::kN, I::kK, in.a.data(), in.b_nn.data(),
+  out.gemm_nn.assign(in.m * I::kN, 0.125f);
+  kernels::GemmNN(in.m, I::kN, I::kK, in.a.data(), in.b_nn.data(),
                   out.gemm_nn.data(), pool);
-  out.gemm_tn.assign(I::kM * I::kN, -0.5f);
-  kernels::GemmTN(I::kM, I::kN, I::kK, in.a_tn.data(), in.b_nn.data(),
+  out.gemm_tn.assign(in.m * I::kN, -0.5f);
+  kernels::GemmTN(in.m, I::kN, I::kK, in.a_tn.data(), in.b_nn.data(),
                   out.gemm_tn.data(), pool);
-  out.gemm_nt.assign(I::kM * I::kN, 0.0f);
-  kernels::GemmNT(I::kM, I::kN, I::kK, in.a.data(), in.b_nt.data(),
+  out.gemm_nt.assign(in.m * I::kN, 0.0f);
+  kernels::GemmNT(in.m, I::kN, I::kK, in.a.data(), in.b_nt.data(),
                   out.gemm_nt.data(), pool);
   out.adc = kernels::AdcDistance(in.table.data(), I::kKsub, in.codes.data(),
                                  I::kSub);
@@ -191,57 +194,78 @@ void ExpectBitIdentical(const KernelOutputs& want, const KernelOutputs& got,
 
 TEST(ArchParity, EveryTierBitIdenticalToScalarInlineAndPooled) {
   TierGuard guard;
-  const KernelInputs in(0xd1a1);
-  ASSERT_EQ(arch::SetTier(arch::Tier::kScalar), arch::Tier::kScalar);
-  const KernelOutputs want = ComputeAll(in, nullptr);
+  // 13 GEMM rows stay below util::kMinParallelWork, so the pooled call runs
+  // inline; kPooledRows (347*37*83 ~ 1.07M multiply-adds) split over the
+  // pool's workers.
+  constexpr size_t kPooledRows = 347;
+  for (const size_t m : {size_t{13}, kPooledRows}) {
+    const KernelInputs in(0xd1a1, m);
+    ASSERT_EQ(arch::SetTier(arch::Tier::kScalar), arch::Tier::kScalar);
+    const KernelOutputs want = ComputeAll(in, nullptr);
 
-  util::ThreadPool pool(3);
-  for (arch::Tier tier : arch::SupportedTiers()) {
-    ASSERT_EQ(arch::SetTier(tier), tier);
-    const KernelOutputs inline_out = ComputeAll(in, nullptr);
-    ExpectBitIdentical(want, inline_out, arch::TierName(tier));
-    const KernelOutputs pooled_out = ComputeAll(in, &pool);
-    ExpectBitIdentical(want, pooled_out, arch::TierName(tier));
+    util::ThreadPool pool(3);
+    for (arch::Tier tier : arch::SupportedTiers()) {
+      ASSERT_EQ(arch::SetTier(tier), tier);
+      const KernelOutputs inline_out = ComputeAll(in, nullptr);
+      ExpectBitIdentical(want, inline_out, arch::TierName(tier));
+      const size_t submitted_before = pool.tasks_submitted();
+      const KernelOutputs pooled_out = ComputeAll(in, &pool);
+      ExpectBitIdentical(want, pooled_out, arch::TierName(tier));
+      if (m == kPooledRows) {
+        EXPECT_GT(pool.tasks_submitted(), submitted_before)
+            << arch::TierName(tier);
+      }
+    }
   }
 }
 
 TEST(ArchParity, Int8GemmMatchesExactInt32ReferenceOnEveryTier) {
   TierGuard guard;
-  constexpr size_t kM = 7, kN = 23, kK = 61;
-  util::Rng rng(99);
-  std::vector<int8_t> a(kM * kK), b(kN * kK);
-  for (int8_t& v : a) v = static_cast<int8_t>(rng.UniformRange(-127, 127));
-  for (int8_t& v : b) v = static_cast<int8_t>(rng.UniformRange(-127, 127));
-  const std::vector<float> a_scales = RandomVec(rng, kM, 0.01f);
-  const std::vector<float> b_scales = RandomVec(rng, kN, 0.01f);
-  const std::vector<float> bias = RandomVec(rng, kN);
+  // 7 rows run inline even with the pool; kPooledRows (751*23*61 ~ 1.05M
+  // multiply-adds, above util::kMinParallelWork) split over its workers.
+  constexpr size_t kN = 23, kK = 61, kPooledRows = 751;
+  for (const size_t m : {size_t{7}, kPooledRows}) {
+    util::Rng rng(99);
+    std::vector<int8_t> a(m * kK), b(kN * kK);
+    for (int8_t& v : a) v = static_cast<int8_t>(rng.UniformRange(-127, 127));
+    for (int8_t& v : b) v = static_cast<int8_t>(rng.UniformRange(-127, 127));
+    const std::vector<float> a_scales = RandomVec(rng, m, 0.01f);
+    const std::vector<float> b_scales = RandomVec(rng, kN, 0.01f);
+    const std::vector<float> bias = RandomVec(rng, kN);
 
-  // Exact reference: int32 accumulation is associative, so a plain loop is
-  // THE answer, not an approximation.
-  std::vector<float> want(kM * kN);
-  for (size_t i = 0; i < kM; ++i) {
-    for (size_t j = 0; j < kN; ++j) {
-      int32_t acc = 0;
-      for (size_t t = 0; t < kK; ++t) {
-        acc += static_cast<int32_t>(a[i * kK + t]) *
-               static_cast<int32_t>(b[j * kK + t]);
+    // Exact reference: int32 accumulation is associative, so a plain loop is
+    // THE answer, not an approximation.
+    std::vector<float> want(m * kN);
+    for (size_t i = 0; i < m; ++i) {
+      for (size_t j = 0; j < kN; ++j) {
+        int32_t acc = 0;
+        for (size_t t = 0; t < kK; ++t) {
+          acc += static_cast<int32_t>(a[i * kK + t]) *
+                 static_cast<int32_t>(b[j * kK + t]);
+        }
+        want[i * kN + j] =
+            static_cast<float>(acc) * (a_scales[i] * b_scales[j]) + bias[j];
       }
-      want[i * kN + j] =
-          static_cast<float>(acc) * (a_scales[i] * b_scales[j]) + bias[j];
     }
-  }
 
-  util::ThreadPool pool(2);
-  for (arch::Tier tier : arch::SupportedTiers()) {
-    ASSERT_EQ(arch::SetTier(tier), tier);
-    for (util::ThreadPool* p : {static_cast<util::ThreadPool*>(nullptr),
-                                &pool}) {
-      std::vector<float> got(kM * kN, -123.0f);  // must be overwritten
-      kernels::GemmInt8NT(kM, kN, kK, a.data(), a_scales.data(), b.data(),
-                          b_scales.data(), bias.data(), got.data(), p);
-      EXPECT_EQ(std::memcmp(want.data(), got.data(), want.size() * sizeof(float)),
-                0)
-          << arch::TierName(tier) << (p ? " pooled" : " inline");
+    util::ThreadPool pool(2);
+    for (arch::Tier tier : arch::SupportedTiers()) {
+      ASSERT_EQ(arch::SetTier(tier), tier);
+      for (util::ThreadPool* p : {static_cast<util::ThreadPool*>(nullptr),
+                                  &pool}) {
+        const size_t submitted_before = pool.tasks_submitted();
+        std::vector<float> got(m * kN, -123.0f);  // must be overwritten
+        kernels::GemmInt8NT(m, kN, kK, a.data(), a_scales.data(), b.data(),
+                            b_scales.data(), bias.data(), got.data(), p);
+        EXPECT_EQ(
+            std::memcmp(want.data(), got.data(), want.size() * sizeof(float)),
+            0)
+            << arch::TierName(tier) << (p ? " pooled" : " inline") << " m=" << m;
+        if (p != nullptr && m == kPooledRows) {
+          EXPECT_GT(pool.tasks_submitted(), submitted_before)
+              << arch::TierName(tier);
+        }
+      }
     }
   }
 }

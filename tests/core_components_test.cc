@@ -7,6 +7,7 @@
 #include "core/metrics.h"
 #include "data/registry.h"
 #include "tplm/tplm.h"
+#include "util/thread_pool.h"
 
 namespace dial::core {
 namespace {
@@ -458,6 +459,34 @@ TEST_F(MatcherFixture, SingleModeEmbeddingsNormalized) {
   for (size_t r = 0; r < emb.rows(); ++r) {
     EXPECT_NEAR(la::Norm(emb.row(r), emb.cols()), 1.0f, 1e-4f);
   }
+}
+
+// At smoke shapes (dim 32, at most 60 positions) every tape GEMM lies below
+// util::kMinParallelWork, so training with a pool attached must hand the
+// pool nothing: each hand-off would cost more than the GEMM it carries.
+// A count, not a time, so the pin holds on any host.
+TEST(MatcherThreading, SmokeShapeTrainingSubmitsNoPoolTasks) {
+  const auto bundle = data::MakeDataset("dblp_acm", data::Scale::kSmoke, 2);
+  text::SubwordVocab::Options vo;
+  vo.max_vocab = 1024;
+  const auto vocab = text::SubwordVocab::Train(bundle.CorpusLines(), vo);
+  tplm::TplmConfig config;  // the smoke-scale model
+  ASSERT_EQ(config.transformer.dim, 32u);
+  ASSERT_LE(config.transformer.max_positions, 64u);
+  config.transformer.vocab_size = vocab.size();
+  tplm::TplmModel pretrained("p", config, 3);
+
+  util::Rng rng(4);
+  const auto seed = data::SampleSeedSet(bundle, 10, rng);
+  PairEncodingCache cache(&bundle, &vocab, config.max_pair_len);
+  MatcherConfig mc;
+  mc.epochs = 1;
+  Matcher matcher(config, mc, 5);
+  matcher.ResetFromPretrained(pretrained);
+  util::ThreadPool pool(2);
+  matcher.SetThreadPool(&pool);
+  matcher.Train(cache, seed.AllPairs());
+  EXPECT_EQ(pool.tasks_submitted(), 0u);
 }
 
 TEST_F(MatcherFixture, BadgeEmbeddingsShape) {

@@ -349,15 +349,34 @@ TEST(InferenceEngine, BitIdenticalAcrossThreadCounts) {
   const auto singles = RaggedSingles(vocab);
   const auto pairs = RaggedPairs(vocab);
 
+  // One full pack at the default model shapes: 8 pairs of max_pair_len
+  // tokens. A single pack runs on the caller, so the encoder's own fan-outs
+  // reach the pool — the per-sequence attention split and the GEMMs above
+  // util::kMinParallelWork (FFN 480x64x32, CLS-mode K/V 480x32x32).
+  const tplm::TplmConfig full_config;
+  tplm::TplmModel full_model("full", full_config, 5);
+  std::vector<text::EncodedSequence> one_pack;
+  for (size_t i = 0; i < 8; ++i) {
+    one_pack.push_back(
+        PairSeq(28, 29, 700 + i, full_config.transformer.vocab_size));
+  }
+  ASSERT_EQ(one_pack[0].ids.size(), full_config.max_pair_len);
+
   autograd::InferenceContext inline_ctx;
   const la::Matrix base_s = model.EncodeSingleBatch(inline_ctx, Pointers(singles));
   const la::Matrix base_p =
       model.EncodePairFeaturesBatch(inline_ctx, Pointers(pairs));
+  const la::Matrix base_pack =
+      full_model.EncodePairFeaturesBatch(inline_ctx, Pointers(one_pack));
   for (const size_t threads : {size_t{2}, size_t{8}}) {
     util::ThreadPool pool(threads);
     autograd::InferenceContext ctx(&pool);
     ExpectBitEqual(base_s, model.EncodeSingleBatch(ctx, Pointers(singles)));
     ExpectBitEqual(base_p, model.EncodePairFeaturesBatch(ctx, Pointers(pairs)));
+    const size_t submitted_before = pool.tasks_submitted();
+    ExpectBitEqual(base_pack,
+                   full_model.EncodePairFeaturesBatch(ctx, Pointers(one_pack)));
+    EXPECT_GT(pool.tasks_submitted(), submitted_before) << threads;
   }
 }
 

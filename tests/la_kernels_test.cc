@@ -96,7 +96,8 @@ Matrix Random(size_t rows, size_t cols, uint64_t seed) {
 
 // Shapes stress the unrolled tails (dims % 4 != 0), the kBlockK=64 /
 // kBlockJ=64 panel boundaries (dims crossing 64), single rows/cols, and
-// empty inputs.
+// empty inputs. The last two lie well above util::kMinParallelWork, so the
+// pooled tests really hand their rows to the workers.
 class KernelShapes : public testing::TestWithParam<std::tuple<int, int, int>> {};
 
 INSTANTIATE_TEST_SUITE_P(Shapes, KernelShapes,
@@ -110,7 +111,9 @@ INSTANTIATE_TEST_SUITE_P(Shapes, KernelShapes,
                                          std::make_tuple(70, 129, 66),
                                          std::make_tuple(0, 3, 4),
                                          std::make_tuple(3, 0, 4),
-                                         std::make_tuple(3, 4, 0)));
+                                         std::make_tuple(3, 4, 0),
+                                         std::make_tuple(130, 257, 129),
+                                         std::make_tuple(4096, 32, 32)));
 
 TEST_P(KernelShapes, GemmNNMatchesNaive) {
   const auto [m, k, n] = GetParam();
@@ -163,6 +166,10 @@ TEST_P(KernelShapes, PooledGemmIsBitIdenticalAcrossThreadCounts) {
     ExpectBitIdentical(nn, inline_nn);
     ExpectBitIdentical(tn, inline_tn);
     ExpectBitIdentical(nt, inline_nt);
+    // Only multi-row GEMMs at or above the work cutoff reach the workers.
+    const bool pooled = workers > 1 && m > 1 &&
+                        static_cast<size_t>(m) * n * k >= util::kMinParallelWork;
+    EXPECT_EQ(pool.tasks_submitted() > 0, pooled) << workers << " workers";
   }
 }
 
@@ -256,66 +263,87 @@ TEST(MatrixStorage, IsCacheLineAligned) {
 }
 
 // Matrix-level pooled entry points: same results with and without a pool.
+// 33x65x17 stays below util::kMinParallelWork (inline even with the pool);
+// 130x257x129 lies above it and runs on the workers.
 TEST(MatrixPooled, MatMulVariantsBitIdenticalWithPool) {
-  const Matrix a = Random(33, 65, 101);
-  const Matrix b = Random(65, 17, 103);
-  const Matrix bt = Random(17, 65, 107);
-  Matrix want_nn, got_nn;
-  MatMul(a, b, want_nn);
-  util::ThreadPool pool(4);
-  MatMul(a, b, got_nn, &pool);
-  ExpectBitIdentical(got_nn, want_nn);
+  for (const auto& [m, k, n] : {std::make_tuple(33, 65, 17),
+                                std::make_tuple(130, 257, 129)}) {
+    const Matrix a = Random(m, k, 101);
+    const Matrix b = Random(k, n, 103);
+    const Matrix bt = Random(n, k, 107);
+    Matrix want_nn, got_nn;
+    MatMul(a, b, want_nn);
+    util::ThreadPool pool(4);
+    MatMul(a, b, got_nn, &pool);
+    ExpectBitIdentical(got_nn, want_nn);
 
-  Matrix want_nt(33, 17, 0.0f), got_nt(33, 17, 0.0f);
-  MatMulTransposeBAcc(a, bt, want_nt);
-  MatMulTransposeBAcc(a, bt, got_nt, &pool);
-  ExpectBitIdentical(got_nt, want_nt);
+    Matrix want_nt(m, n, 0.0f), got_nt(m, n, 0.0f);
+    MatMulTransposeBAcc(a, bt, want_nt);
+    MatMulTransposeBAcc(a, bt, got_nt, &pool);
+    ExpectBitIdentical(got_nt, want_nt);
 
-  const Matrix at = Random(65, 33, 109);  // (k, m)
-  Matrix want_tn(33, 17, 0.0f), got_tn(33, 17, 0.0f);
-  MatMulTransposeAAcc(at, b, want_tn);
-  MatMulTransposeAAcc(at, b, got_tn, &pool);
-  ExpectBitIdentical(got_tn, want_tn);
+    const Matrix at = Random(k, m, 109);  // (k, m)
+    Matrix want_tn(m, n, 0.0f), got_tn(m, n, 0.0f);
+    MatMulTransposeAAcc(at, b, want_tn);
+    MatMulTransposeAAcc(at, b, got_tn, &pool);
+    ExpectBitIdentical(got_tn, want_tn);
+    EXPECT_EQ(pool.tasks_submitted() > 0,
+              static_cast<size_t>(m) * n * k >= util::kMinParallelWork)
+        << m << "x" << k << "x" << n;
+  }
 }
 
 // Gradients still check out through the blocked (and pooled) GEMMs, and the
-// backward pass is bit-identical threaded vs inline.
+// backward pass is bit-identical threaded vs inline. The small net's GEMMs
+// stay below util::kMinParallelWork; the tall one's first-layer forward and
+// weight-gradient GEMMs (4096x16x8) lie above it and run on the workers.
 TEST(KernelGradients, GradcheckThroughPooledMatMul) {
-  util::Rng rng(5);
-  autograd::Parameter w1("w1", 7, 9);
-  autograd::Parameter w2("w2", 9, 3);
-  w1.value.RandNormal(rng, 0.5f);
-  w2.value.RandNormal(rng, 0.5f);
-  const Matrix x = Random(5, 7, 109);
-
-  util::ThreadPool pool(2);
-  const auto loss_fn = [&]() {
-    autograd::Tape tape;
-    tape.SetThreadPool(&pool);
-    autograd::Var h = autograd::MatMul(tape.Constant(x), tape.Leaf(&w1));
-    autograd::Var out =
-        autograd::MatMul(autograd::Tanh(h), tape.Leaf(&w2));
-    autograd::Var loss = autograd::MeanAll(autograd::Square(out));
-    w1.ZeroGrad();
-    w2.ZeroGrad();
-    tape.Backward(loss);
-    return loss.scalar();
+  struct Net {
+    size_t rows, in, hidden, out;
+    bool pooled;  // first-layer GEMMs at or above the work cutoff
   };
-  const auto result = autograd::CheckGradients({&w1, &w2}, loss_fn);
-  EXPECT_TRUE(result.ok) << "max_abs=" << result.max_abs_error
-                         << " max_rel=" << result.max_rel_error;
+  for (const Net net : {Net{5, 7, 9, 3, false}, Net{4096, 8, 16, 1, true}}) {
+    util::Rng rng(5);
+    autograd::Parameter w1("w1", net.in, net.hidden);
+    autograd::Parameter w2("w2", net.hidden, net.out);
+    w1.value.RandNormal(rng, 0.5f);
+    w2.value.RandNormal(rng, 0.5f);
+    const Matrix x = Random(net.rows, net.in, 109);
 
-  // Same loss and gradients without any pool.
-  loss_fn();
-  Matrix g1_pooled = w1.grad;
-  autograd::Tape tape;
-  autograd::Var h = autograd::MatMul(tape.Constant(x), tape.Leaf(&w1));
-  autograd::Var out = autograd::MatMul(autograd::Tanh(h), tape.Leaf(&w2));
-  autograd::Var loss = autograd::MeanAll(autograd::Square(out));
-  w1.ZeroGrad();
-  w2.ZeroGrad();
-  tape.Backward(loss);
-  ExpectBitIdentical(g1_pooled, w1.grad);
+    util::ThreadPool pool(2);
+    const auto loss_fn = [&](util::ThreadPool* tape_pool) {
+      autograd::Tape tape;
+      tape.SetThreadPool(tape_pool);
+      autograd::Var h = autograd::MatMul(tape.Constant(x), tape.Leaf(&w1));
+      autograd::Var out =
+          autograd::MatMul(autograd::Tanh(h), tape.Leaf(&w2));
+      autograd::Var loss = autograd::MeanAll(autograd::Square(out));
+      w1.ZeroGrad();
+      w2.ZeroGrad();
+      tape.Backward(loss);
+      return loss.scalar();
+    };
+    // Central differences cost two losses per entry, so the tall net checks
+    // only w2 numerically: its loss still runs through the pooled forward
+    // GEMM, and w1's pooled gradient is pinned bit-identical to inline below.
+    const std::vector<autograd::Parameter*> checked =
+        net.pooled ? std::vector<autograd::Parameter*>{&w2}
+                   : std::vector<autograd::Parameter*>{&w1, &w2};
+    const auto result =
+        autograd::CheckGradients(checked, [&] { return loss_fn(&pool); });
+    EXPECT_TRUE(result.ok) << net.rows << " rows: max_abs="
+                           << result.max_abs_error
+                           << " max_rel=" << result.max_rel_error;
+    EXPECT_EQ(pool.tasks_submitted() > 0, net.pooled) << net.rows << " rows";
+
+    // Same loss and gradients without any pool.
+    const float pooled_loss = loss_fn(&pool);
+    const Matrix g1_pooled = w1.grad;
+    const Matrix g2_pooled = w2.grad;
+    EXPECT_EQ(loss_fn(nullptr), pooled_loss);
+    ExpectBitIdentical(g1_pooled, w1.grad);
+    ExpectBitIdentical(g2_pooled, w2.grad);
+  }
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <thread>
 #include <vector>
 
@@ -13,7 +14,8 @@
 /// shared pool at once — the serving stack's shape (N scheduler workers,
 /// one shared GEMM pool). Completion must be tracked by a per-call latch:
 /// the historical bug was a pool-wide "all idle" wait that returned a
-/// caller early (or never) when strangers kept the pool busy.
+/// caller early (or never) when strangers kept the pool busy. The
+/// ParallelForDispatch cases pin which calls reach the pool at all.
 
 namespace dial::util {
 namespace {
@@ -141,6 +143,55 @@ TEST(ThreadPoolConcurrency, DestructorJoinsOutstandingWork) {
 TEST(ThreadPoolConcurrency, InWorkerThreadFalseOutside) {
   ThreadPool pool(2);
   EXPECT_FALSE(pool.InWorkerThread());
+}
+
+// The dispatch rule: a call too small to repay the pool's hand-off runs as
+// one fn(0, n) on the calling thread and hands the pool no task. Counters
+// are atomic so a broken rule fails these checks instead of racing.
+void ExpectRunsOnCallerWithoutSubmitting(size_t n, size_t work) {
+  ThreadPool pool(2);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::atomic<int> calls{0};
+  std::atomic<int> whole_range_on_caller{0};
+  ParallelFor(
+      &pool, n,
+      [&](size_t begin, size_t end) {
+        ++calls;
+        if (begin == 0 && end == n && std::this_thread::get_id() == caller) {
+          ++whole_range_on_caller;
+        }
+      },
+      work);
+  EXPECT_EQ(calls.load(), 1);
+  EXPECT_EQ(whole_range_on_caller.load(), 1);
+  EXPECT_EQ(pool.tasks_submitted(), 0u);
+}
+
+TEST(ParallelForDispatch, SingleItemRunsOnCallerWithoutSubmitting) {
+  ExpectRunsOnCallerWithoutSubmitting(1, SIZE_MAX);
+}
+
+TEST(ParallelForDispatch, WorkBelowCutoffRunsOnCallerWithoutSubmitting) {
+  ExpectRunsOnCallerWithoutSubmitting(64, kMinParallelWork - 1);
+}
+
+TEST(ParallelForDispatch, WorkAtCutoffOrUnestimatedReachesWorkers) {
+  ThreadPool pool(2);
+  for (const size_t work : {kMinParallelWork, size_t{SIZE_MAX}}) {
+    const size_t submitted_before = pool.tasks_submitted();
+    std::atomic<int> worker_chunks{0};
+    std::atomic<size_t> covered{0};
+    ParallelFor(
+        &pool, 64,
+        [&](size_t begin, size_t end) {
+          if (pool.InWorkerThread()) ++worker_chunks;
+          covered += end - begin;
+        },
+        work);
+    EXPECT_GT(worker_chunks.load(), 0) << "work " << work;
+    EXPECT_EQ(covered.load(), 64u) << "work " << work;
+    EXPECT_GT(pool.tasks_submitted(), submitted_before) << "work " << work;
+  }
 }
 
 }  // namespace

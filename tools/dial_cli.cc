@@ -112,8 +112,10 @@ int CmdRun(int argc, char** argv) {
   int64_t* committee = flags.AddInt("committee", 0, "committee size N (0 = default)");
   int64_t* k = flags.AddInt("k", 0, "neighbours per probe (0 = default)");
   double* cand_mult = flags.AddDouble("cand-mult", 0.0, "|cand| = mult*|S| (0 = default)");
-  int64_t* threads =
-      flags.AddInt("threads", 0, "blocking-step worker threads (0 = inline)");
+  int64_t* threads = flags.AddInt(
+      "threads", 0,
+      "AL-loop worker pool: blocking, index search, batched inference, "
+      "GEMMs >= 2^18 multiply-adds (0 = inline)");
   bool* refresh = flags.AddBool(
       "refresh", true,
       "warm-start blocker indexes across rounds (off = rebuild every round)");
@@ -137,9 +139,10 @@ int CmdRun(int argc, char** argv) {
 
   dial::core::ExperimentConfig exp_config;
   exp_config.scale = dial::data::ParseScale(*scale_text);
-  // --threads also accelerates pretraining (cache misses only): the tape
-  // GEMMs thread through this pool with bit-identical results, so the
-  // on-disk model cache key is unaffected.
+  // --threads also sizes a pool for pretraining (cache misses only): tape
+  // GEMMs of at least util::kMinParallelWork multiply-adds (the MLM head's)
+  // thread through it with bit-identical results, so the on-disk model
+  // cache key is unaffected.
   std::unique_ptr<dial::util::ThreadPool> pretrain_pool;
   if (*threads > 0) {
     pretrain_pool =

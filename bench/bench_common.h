@@ -1,6 +1,7 @@
 #ifndef DIAL_BENCH_BENCH_COMMON_H_
 #define DIAL_BENCH_BENCH_COMMON_H_
 
+#include <algorithm>
 #include <cstdio>
 #include <map>
 #include <memory>
@@ -186,6 +187,27 @@ inline double PeakRssBytes() {
 }
 
 inline double PeakRssMb() { return PeakRssBytes() / (1024.0 * 1024.0); }
+
+/// Best-of-`reps` wall microseconds per call. Each rep repeats `fn` until
+/// it has run for at least 2 ms, so microsecond calls are timed well above
+/// the clock's resolution.
+template <typename Fn>
+double BestUsPerCall(size_t reps, Fn fn) {
+  size_t calls = 1;
+  for (;;) {
+    util::WallTimer timer;
+    for (size_t c = 0; c < calls; ++c) fn();
+    if (timer.Seconds() >= 2e-3) break;
+    calls *= 2;
+  }
+  double best = 1e300;
+  for (size_t r = 0; r < reps; ++r) {
+    util::WallTimer timer;
+    for (size_t c = 0; c < calls; ++c) fn();
+    best = std::min(best, timer.Seconds() * 1e6 / static_cast<double>(calls));
+  }
+  return best;
+}
 
 inline std::string Pct(double fraction, int precision = 1) {
   return util::TablePrinter::Num(100.0 * fraction, precision);

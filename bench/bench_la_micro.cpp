@@ -85,27 +85,6 @@ double Gflops(size_t m, size_t n, size_t k, double ms) {
   return ms > 0.0 ? 2.0 * static_cast<double>(m * n * k) / (ms * 1e6) : 0.0;
 }
 
-/// Best-of-`reps` wall microseconds per call. Each rep repeats `fn` until
-/// it has run for at least 2 ms, so microsecond GEMMs are timed well above
-/// the clock's resolution.
-template <typename Fn>
-double BestUsPerCall(size_t reps, Fn fn) {
-  size_t calls = 1;
-  for (;;) {
-    dial::util::WallTimer timer;
-    for (size_t c = 0; c < calls; ++c) fn();
-    if (timer.Seconds() >= 2e-3) break;
-    calls *= 2;
-  }
-  double best = 1e300;
-  for (size_t r = 0; r < reps; ++r) {
-    dial::util::WallTimer timer;
-    for (size_t c = 0; c < calls; ++c) fn();
-    best = std::min(best, timer.Seconds() * 1e6 / static_cast<double>(calls));
-  }
-  return best;
-}
-
 /// GemmNN with its output rows split over the pool regardless of size: no
 /// work estimate reaches ParallelFor, so this is the dispatch every pooled
 /// GEMM had before the work cutoff. Each chunk runs the inline kernel on
@@ -247,10 +226,10 @@ int main(int argc, char** argv) {
 
       dial::util::WallTimer total;
       Matrix out(m, n, 0.0f);
-      const double inline_us = BestUsPerCall(n_reps, [&] {
+      const double inline_us = dial::bench::BestUsPerCall(n_reps, [&] {
         dial::la::kernels::GemmNN(m, n, k, a.data(), b.data(), out.data());
       });
-      const double pooled_us = BestUsPerCall(n_reps, [&] {
+      const double pooled_us = dial::bench::BestUsPerCall(n_reps, [&] {
         GemmNNAlwaysPooled(m, n, k, a.data(), b.data(), out.data(), &pool);
       });
       const size_t work = m * n * k;

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "la/kernels.h"
-#include "util/thread_pool.h"
 
 namespace dial::autograd {
 
@@ -235,20 +234,19 @@ Var Square(Var x) {
 
 Var MatMul(Var a, Var b) {
   la::Matrix v;
-  la::MatMul(a.value(), b.value(), v, TapeOf(a).pool());
+  la::MatMul(a.value(), b.value(), v);
   const bool rg = a.requires_grad() || b.requires_grad();
   Node* na = a.node();
   Node* nb = b.node();
   return MakeOp(TapeOf(a), std::move(v), rg, [na, nb](Node* out) {
     return [na, nb, out]() {
-      util::ThreadPool* pool = out->tape->pool();
       if (na->requires_grad) {
         // dA += dOut * B^T
-        la::MatMulTransposeBAcc(out->grad, nb->value(), na->EnsureGrad(), pool);
+        la::MatMulTransposeBAcc(out->grad, nb->value(), na->EnsureGrad());
       }
       if (nb->requires_grad) {
         // dB += A^T * dOut
-        la::MatMulTransposeAAcc(na->value(), out->grad, nb->EnsureGrad(), pool);
+        la::MatMulTransposeAAcc(na->value(), out->grad, nb->EnsureGrad());
       }
     };
   });
@@ -257,20 +255,19 @@ Var MatMul(Var a, Var b) {
 Var MatMulTransposeB(Var a, Var b) {
   DIAL_CHECK_EQ(a.cols(), b.cols());
   la::Matrix v(a.rows(), b.rows());
-  la::MatMulTransposeBAcc(a.value(), b.value(), v, TapeOf(a).pool());
+  la::MatMulTransposeBAcc(a.value(), b.value(), v);
   const bool rg = a.requires_grad() || b.requires_grad();
   Node* na = a.node();
   Node* nb = b.node();
   return MakeOp(TapeOf(a), std::move(v), rg, [na, nb](Node* out) {
     return [na, nb, out]() {
-      util::ThreadPool* pool = out->tape->pool();
       if (na->requires_grad) {
         // dA += dOut * B
-        la::MatMulAcc(out->grad, nb->value(), na->EnsureGrad(), pool);
+        la::MatMulAcc(out->grad, nb->value(), na->EnsureGrad());
       }
       if (nb->requires_grad) {
         // dB += dOut^T * A
-        la::MatMulTransposeAAcc(out->grad, na->value(), nb->EnsureGrad(), pool);
+        la::MatMulTransposeAAcc(out->grad, na->value(), nb->EnsureGrad());
       }
     };
   });
@@ -789,19 +786,11 @@ Var PairwiseSquaredDistance(Var a, Var b) {
   const size_t n = b.rows();
   const size_t d = a.cols();
   la::Matrix v(m, n);
-  // One batched scan of b per row of a (bit-identical to the scalar kernel);
-  // rows are independent, so large calls fan out over the tape's pool.
-  const la::Matrix& av = a.value();
-  const la::Matrix& bv = b.value();
-  util::ParallelFor(
-      TapeOf(a).pool(), m,
-      [&](size_t begin, size_t end) {
-        for (size_t i = begin; i < end; ++i) {
-          la::kernels::SquaredDistanceBatch(av.row(i), bv.data(), n, d,
-                                            v.row(i));
-        }
-      },
-      m * n * d);
+  // One batched scan of b per row of a (bit-identical to the scalar kernel).
+  for (size_t i = 0; i < m; ++i) {
+    la::kernels::SquaredDistanceBatch(a.value().row(i), b.value().data(), n, d,
+                                      v.row(i));
+  }
   const bool rg = a.requires_grad() || b.requires_grad();
   Node* na = a.node();
   Node* nb = b.node();

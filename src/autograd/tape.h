@@ -25,10 +25,6 @@
 /// frozen-transformer paths (the DIAL blocker) nearly free to differentiate
 /// through.
 
-namespace dial::util {
-class ThreadPool;
-}
-
 namespace dial::autograd {
 
 class Tape;
@@ -126,17 +122,8 @@ class Tape {
 
   size_t num_nodes() const { return nodes_.size(); }
 
-  /// Optional worker pool used by matrix-multiply ops recorded on this tape
-  /// (forward AND backward GEMMs). Threaded results are bit-identical to
-  /// inline execution (see la/kernels.h), so this is a pure throughput knob:
-  /// training loops set it from AlConfig::num_threads. The pool must outlive
-  /// the tape's Backward() call.
-  void SetThreadPool(util::ThreadPool* pool) { pool_ = pool; }
-  util::ThreadPool* pool() const { return pool_; }
-
  private:
   std::vector<std::unique_ptr<Node>> nodes_;
-  util::ThreadPool* pool_ = nullptr;
   bool backward_ran_ = false;
 };
 

@@ -54,13 +54,12 @@ struct AlConfig {
   /// Compute the all-pairs metric every round (Fig. 7) vs only at the end.
   bool allpairs_each_round = true;
   /// Worker threads of the loop-owned pool. It runs the IBC member fan-out
-  /// and batched index search, the inference engine's pack and sequence
-  /// fan-outs (predict, embed), and training GEMMs and pairwise distances
-  /// of at least util::kMinParallelWork multiply-adds — at the dim-32
-  /// model's shapes every training GEMM is smaller, so training runs
-  /// inline. 0 = inline execution, the default. Results are bit-identical
-  /// for every value, so this is excluded from the checkpoint fingerprint:
-  /// a run checkpointed at one thread count resumes exactly under another.
+  /// and batched index search, and the inference engine's pack and
+  /// sequence fan-outs and GEMMs (predict, embed). Training tapes always
+  /// run inline. 0 = inline execution, the default. Results are
+  /// bit-identical for every value, so this is excluded from the checkpoint
+  /// fingerprint: a run checkpointed at one thread count resumes exactly
+  /// under another.
   size_t num_threads = 0;
   /// Numeric mode for the inference engine's linear sublayers: "fp32"
   /// (default) or "int8" (per-row-scaled weight + activation quantization,

@@ -14,10 +14,8 @@ constexpr uint32_t kCheckpointMagic = 0x4441'4c43;  // "DALC"
 // gained the IbcIndexCache warm-state section (index-refresh lifecycle).
 // v3: RoundMetrics gained t_predict/t_embed (inference-engine breakdown).
 // v4: CRC32C trailer (whole-file, verified before parsing); payload layout
-// unchanged. v3 files still load — unverified, the pre-CRC contract.
+// unchanged. Only v4 loads; older files fail with kCorruption.
 constexpr uint32_t kCheckpointVersion = 4;
-constexpr uint32_t kCheckpointMinVersion = 3;
-constexpr uint32_t kCheckpointCrcFromVersion = 4;
 
 void WritePair(util::BinaryWriter& w, const data::PairId& pair) {
   w.WriteU32(pair.r);
@@ -170,8 +168,7 @@ util::Status SaveAlCheckpoint(const std::string& path,
                               const IbcIndexCache* index_cache) {
   const std::string tmp = path + ".tmp";
   {
-    util::BinaryWriter w(tmp, kCheckpointMagic, kCheckpointVersion,
-                         /*with_crc=*/true);
+    util::BinaryWriter w(tmp, kCheckpointMagic, kCheckpointVersion);
     w.WriteString(checkpoint.dataset_name);
     w.WriteU64(checkpoint.config_fingerprint);
     w.WriteU32(checkpoint.next_round);
@@ -211,8 +208,7 @@ util::Status SaveAlCheckpoint(const std::string& path,
 util::Status LoadAlCheckpoint(const std::string& path, AlCheckpoint* checkpoint,
                               IbcIndexCache* index_cache) {
   DIAL_CHECK(checkpoint != nullptr);
-  util::BinaryReader r(path, kCheckpointMagic, kCheckpointMinVersion,
-                       kCheckpointVersion, kCheckpointCrcFromVersion);
+  util::BinaryReader r(path, kCheckpointMagic, kCheckpointVersion);
   DIAL_RETURN_IF_ERROR(r.status());
   checkpoint->dataset_name = r.ReadString();
   checkpoint->config_fingerprint = r.ReadU64();

@@ -228,7 +228,6 @@ double BlockerCommittee::TrainMember(size_t k, const la::Matrix& emb_r,
       }
 
       autograd::Tape tape;
-      tape.SetThreadPool(member.thread_pool());
       nn::ForwardContext ctx{&tape, &rng, /*training=*/true};
       Var p_r = member.Forward(ctx, tape.Constant(GatherRows(emb_r, pos_r)));
       Var p_s = member.Forward(ctx, tape.Constant(GatherRows(emb_s, pos_s)));

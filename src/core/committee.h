@@ -87,12 +87,8 @@ class CommitteeMember : public nn::Module {
 
   const la::Matrix& mask() const { return mask_; }
 
-  /// Unowned pool threaded through this member's tapes (see Matcher).
-  void SetThreadPool(util::ThreadPool* pool) {
-    pool_ = pool;
-    infer_ctx_.SetThreadPool(pool);
-  }
-  util::ThreadPool* thread_pool() const { return pool_; }
+  /// Unowned pool for this member's inference engine (see Matcher).
+  void SetThreadPool(util::ThreadPool* pool) { infer_ctx_.SetThreadPool(pool); }
 
   /// Numeric mode for the engine's linear sublayer (default fp32; see
   /// Matcher::SetInferencePrecision).
@@ -104,7 +100,6 @@ class CommitteeMember : public nn::Module {
   la::Matrix mask_;  // (1, d) of {0,1}
   nn::Linear linear_;
   bool normalize_output_;
-  util::ThreadPool* pool_ = nullptr;  // unowned; null = inline GEMMs
   autograd::InferenceContext infer_ctx_;  // tape-free activation arena
 };
 
@@ -139,7 +134,8 @@ class BlockerCommittee {
     return members_[k]->Transform(embeddings);
   }
 
-  /// Attaches an unowned pool to every member (training + Encode GEMMs).
+  /// Attaches an unowned pool to every member's inference engine (Encode
+  /// GEMMs; training tapes run inline).
   /// Nested use (e.g. IndexByCommittee already fanning members over the same
   /// pool) degrades to inline execution inside the workers, so this is
   /// always safe to set.

@@ -104,7 +104,6 @@ double Matcher::Train(PairEncodingCache& pairs,
     for (size_t begin = 0; begin < order.size(); begin += config_.batch_size) {
       const size_t end = std::min(order.size(), begin + config_.batch_size);
       autograd::Tape tape;
-      tape.SetThreadPool(pool_);
       nn::ForwardContext ctx{&tape, &rng_, /*training=*/true};
       std::vector<Var> logits;
       std::vector<float> targets;

@@ -120,14 +120,10 @@ class Matcher {
   tplm::TplmModel& model() { return *model_; }
   const MatcherConfig& config() const { return config_; }
 
-  /// Attaches an unowned worker pool: every tape this matcher records
-  /// (training steps) and the inference engine thread their GEMMs/fan-outs
-  /// through it. Bit-identical to inline execution; nullptr (default)
-  /// detaches.
-  void SetThreadPool(util::ThreadPool* pool) {
-    pool_ = pool;
-    infer_ctx_.SetThreadPool(pool);
-  }
+  /// Attaches an unowned worker pool: the inference engine threads its
+  /// GEMMs/fan-outs through it. Bit-identical to inline execution; nullptr
+  /// (default) detaches. Training tapes always run inline.
+  void SetThreadPool(util::ThreadPool* pool) { infer_ctx_.SetThreadPool(pool); }
 
   /// Numeric mode for the engine's linear sublayers (default fp32). int8 is
   /// NOT bit-identical — it is gated by the F1-parity test in the AL golden
@@ -157,7 +153,6 @@ class Matcher {
   std::unique_ptr<nn::Linear> head_dense_;
   std::unique_ptr<nn::Linear> head_out_;
   util::Rng rng_;
-  util::ThreadPool* pool_ = nullptr;  // unowned; null = inline GEMMs
   autograd::InferenceContext infer_ctx_;  // tape-free activation arena
 };
 

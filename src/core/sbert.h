@@ -46,11 +46,8 @@ class SentenceBertBlocker {
 
   tplm::TplmModel& model() { return *model_; }
 
-  /// Unowned pool threaded through this blocker's tapes (see Matcher).
-  void SetThreadPool(util::ThreadPool* pool) {
-    pool_ = pool;
-    infer_ctx_.SetThreadPool(pool);
-  }
+  /// Unowned pool for this blocker's inference engine (see Matcher).
+  void SetThreadPool(util::ThreadPool* pool) { infer_ctx_.SetThreadPool(pool); }
 
   /// Numeric mode for the engine's linear sublayers (default fp32; see
   /// Matcher::SetInferencePrecision).
@@ -65,7 +62,6 @@ class SentenceBertBlocker {
   std::unique_ptr<tplm::TplmModel> model_;
   std::unique_ptr<nn::SentencePairHead> head_;
   util::Rng rng_;
-  util::ThreadPool* pool_ = nullptr;  // unowned; null = inline GEMMs
   autograd::InferenceContext infer_ctx_;  // tape-free activation arena
 };
 

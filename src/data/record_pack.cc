@@ -46,7 +46,7 @@ int64_t LoadI64(const char* p) {
 
 RecordPackWriter::RecordPackWriter(const std::string& path,
                                    std::vector<std::string> schema)
-    : writer_(path, kRecordPackMagic, kRecordPackVersion, /*with_crc=*/true),
+    : writer_(path, kRecordPackMagic, kRecordPackVersion),
       schema_(std::move(schema)) {
   writer_.WriteU64(schema_.size());
   for (const std::string& attr : schema_) writer_.WriteString(attr);
@@ -160,26 +160,22 @@ util::Status RecordPackReader::Open(const std::string& path, Mode mode) {
   if (LoadU32(base_) != kRecordPackMagic) {
     return corrupt("bad magic");
   }
-  const uint32_t version = LoadU32(base_ + 4);
-  if (version < kRecordPackMinVersion || version > kRecordPackVersion) {
+  if (LoadU32(base_ + 4) != kRecordPackVersion) {
     return corrupt("unsupported version");
   }
-  // v2+: whole-file CRC over the mapping, checked before any structure is
+  // Whole-file CRC over the mapping, checked before any structure is
   // trusted (an interior bit-flip leaves the footer intact and would
   // otherwise parse). The trailer is then sliced off so the footer math
-  // below sees the same payload a v1 file would end with.
-  uint64_t payload_size = file_size_;
-  if (version >= kRecordPackCrcFromVersion) {
-    if (payload_size < 8 + kFooterBytes + util::kCrcTrailerBytes) {
-      return corrupt("file too small for CRC trailer");
-    }
-    payload_size -= util::kCrcTrailerBytes;
-    if (LoadU32(base_ + payload_size) != util::kCrcTrailerMagic) {
-      return corrupt("missing CRC trailer");
-    }
-    if (LoadU32(base_ + payload_size + 4) != util::Crc32c(base_, payload_size)) {
-      return corrupt("CRC32C mismatch");
-    }
+  // below sees only the payload.
+  if (file_size_ < 8 + kFooterBytes + util::kCrcTrailerBytes) {
+    return corrupt("file too small for CRC trailer");
+  }
+  const uint64_t payload_size = file_size_ - util::kCrcTrailerBytes;
+  if (LoadU32(base_ + payload_size) != util::kCrcTrailerMagic) {
+    return corrupt("missing CRC trailer");
+  }
+  if (LoadU32(base_ + payload_size + 4) != util::Crc32c(base_, payload_size)) {
+    return corrupt("CRC32C mismatch");
   }
   const char* footer = base_ + (payload_size - kFooterBytes);
   uint32_t footer_magic;

@@ -24,24 +24,23 @@
 ///     zero padding to the next 8-byte boundary
 ///     offset table: u64 count + count raw u64 absolute record offsets
 ///     footer: u64 offset_table_pos, u64 num_records, u32 footer magic
-///     v2+: u32 kCrcTrailerMagic, u32 CRC32C of everything before it
+///     trailer: u32 kCrcTrailerMagic, u32 CRC32C of everything before it
 ///
 /// The offset table lives at the *end* so records stream to disk in one
 /// pass; the fixed-size footer at EOF locates it. Any truncation destroys
 /// the footer, so a cut-off pack fails `Open` with a Status instead of
 /// parsing garbage. The padding keeps the offset table 8-byte aligned so
 /// the mmap reader can point straight into the mapping without unaligned
-/// u64 loads. Since v2 the whole file is additionally covered by a CRC32C
-/// trailer, verified over the mapping before any structure is trusted —
-/// an interior bit-flip (which truncation checks cannot see) fails Open
-/// with kCorruption. v1 packs still open, unverified.
+/// u64 loads. The whole file is additionally covered by a CRC32C trailer,
+/// verified over the mapping before any structure is trusted — an interior
+/// bit-flip (which truncation checks cannot see) fails Open with
+/// kCorruption. Only the current version opens; a v1 pack (no trailer)
+/// fails with kCorruption.
 
 namespace dial::data {
 
 inline constexpr uint32_t kRecordPackMagic = 0x5244504Bu;   // "KPDR" LE
 inline constexpr uint32_t kRecordPackVersion = 2;
-inline constexpr uint32_t kRecordPackMinVersion = 1;
-inline constexpr uint32_t kRecordPackCrcFromVersion = 2;
 inline constexpr uint32_t kRecordPackFooterMagic = 0x504Bu;
 
 /// Streams records to a pack file in one pass. Bounded memory: the only

@@ -37,10 +37,10 @@ class FlatIndex : public VectorIndex {
   /// Gathers the kept rows (and their cached norms) into a packed matrix.
   void CompactRows(const std::vector<int>& keep) override;
 
- private:
   la::Matrix data_;
   /// Per-row |x|² maintained by Add — lets cosine Search reuse the norms
-  /// instead of recomputing them per query (L2/IP scans don't need them).
+  /// instead of recomputing them per query (MatmulSearchIndex's L2 and
+  /// cosine scans read them too).
   std::vector<float> norms_sq_;
 };
 

@@ -2,98 +2,37 @@
 
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "index/topk.h"
 #include "la/kernels.h"
 
 namespace dial::index {
 
-MatmulSearchIndex::MatmulSearchIndex(size_t dim, Metric metric, Options options)
-    : VectorIndex(dim, metric), options_(options) {
-  DIAL_CHECK_GT(options_.query_tile, 0u);
-  DIAL_CHECK_GT(options_.db_block, 0u);
-}
-
-void MatmulSearchIndex::Add(const la::Matrix& vectors) {
-  DIAL_CHECK_EQ(vectors.cols(), dim_);
-  size_t next = 0;
-  // Top up the last partial block before opening new ones.
-  while (next < vectors.rows()) {
-    if (blocks_.empty() || blocks_.back().rows() >= options_.db_block) {
-      blocks_.emplace_back(0, dim_);
-    }
-    la::Matrix& block = blocks_.back();
-    const size_t take =
-        std::min(options_.db_block - block.rows(), vectors.rows() - next);
-    la::Matrix merged(block.rows() + take, dim_);
-    std::copy(block.data(), block.data() + block.size(), merged.data());
-    std::copy(vectors.row(next), vectors.row(next) + take * dim_,
-              merged.data() + block.size());
-    block = std::move(merged);
-    next += take;
-  }
-  std::vector<float> sq(vectors.rows());
-  la::kernels::NormsSquared(vectors.data(), vectors.rows(), dim_, sq.data());
-  for (size_t i = 0; i < vectors.rows(); ++i) {
-    sq_norms_.push_back(sq[i]);
-    norms_.push_back(std::sqrt(sq[i]));
-  }
-  count_ += vectors.rows();
-}
-
-void MatmulSearchIndex::CompactRows(const std::vector<int>& keep) {
-  la::Matrix packed(keep.size(), dim_);
-  size_t out = 0;
-  size_t base = 0;
-  size_t next = 0;  // cursor into keep (ascending rows)
-  for (const la::Matrix& block : blocks_) {
-    while (next < keep.size() &&
-           static_cast<size_t>(keep[next]) < base + block.rows()) {
-      const float* src = block.row(static_cast<size_t>(keep[next]) - base);
-      std::copy(src, src + dim_, packed.row(out++));
-      ++next;
-    }
-    base += block.rows();
-  }
-  blocks_.clear();
-  sq_norms_.clear();
-  norms_.clear();
-  count_ = 0;
-  Add(packed);
-}
-
-RefreshStats MatmulSearchIndex::Refresh(const la::Matrix& vectors,
-                                        const RefreshOptions& options) {
-  (void)options;
-  DIAL_CHECK_EQ(vectors.cols(), dim_);
-  if (vectors.rows() == 0) return {};
-  ResetLifecycle();
-  blocks_.clear();
-  sq_norms_.clear();
-  norms_.clear();
-  count_ = 0;
-  Add(vectors);
-  return {};
-}
+namespace {
+/// Queries per GEMM tile.
+constexpr size_t kQueryTile = 64;
+/// Stored rows per GEMM block.
+constexpr size_t kDbBlock = 256;
+}  // namespace
 
 SearchBatch MatmulSearchIndex::Search(const la::Matrix& queries, size_t k) const {
   DIAL_CHECK_EQ(queries.cols(), dim_);
   SearchBatch results(queries.rows());
-  if (count_ == 0) return results;
+  const size_t n = data_.rows();
+  if (n == 0) return results;
 
   // Query tiles are independent units of work (each owns its GEMM scratch
   // and heaps), so the tile loop fans out over the pool.
-  const size_t num_tiles =
-      (queries.rows() + options_.query_tile - 1) / options_.query_tile;
+  const size_t num_tiles = (queries.rows() + kQueryTile - 1) / kQueryTile;
   util::ParallelFor(pool_, num_tiles, [&](size_t t_begin, size_t t_end) {
   for (size_t tile_i = t_begin; tile_i < t_end; ++tile_i) {
-    const size_t q0 = tile_i * options_.query_tile;
-    const size_t tile_rows = std::min(options_.query_tile, queries.rows() - q0);
-    la::Matrix tile(tile_rows, dim_);
-    std::copy(queries.row(q0), queries.row(q0) + tile_rows * dim_, tile.data());
+    const size_t q0 = tile_i * kQueryTile;
+    const size_t tile_rows = std::min(kQueryTile, queries.rows() - q0);
+    const float* tile = queries.row(q0);
     std::vector<float> query_sq(tile_rows);
     std::vector<float> query_norm(tile_rows);
-    la::kernels::NormsSquared(tile.data(), tile_rows, dim_, query_sq.data());
+    la::kernels::NormsSquared(tile, tile_rows, dim_, query_sq.data());
     for (size_t i = 0; i < tile_rows; ++i) {
       query_norm[i] = std::sqrt(query_sq[i]);
     }
@@ -101,28 +40,31 @@ SearchBatch MatmulSearchIndex::Search(const la::Matrix& queries, size_t k) const
     heaps.reserve(tile_rows);
     for (size_t i = 0; i < tile_rows; ++i) heaps.emplace_back(k);
 
-    std::vector<float> dist(options_.db_block);
-    size_t base_id = 0;
-    for (const la::Matrix& block : blocks_) {
-      // scores(i, j) = tile_i . block_j, one GEMM per (tile, block); the
+    std::vector<float> scores(tile_rows * kDbBlock);
+    std::vector<float> dist(kDbBlock);
+    for (size_t base_id = 0; base_id < n; base_id += kDbBlock) {
+      // scores(i, j) = tile_i . x_j, one GEMM per (tile, block); the
       // scores rows then turn into metric distances branch-free per row.
-      const la::Matrix scores = la::MatMulTransposeB(tile, block);
-      const size_t rows = block.rows();
+      const size_t rows = std::min(kDbBlock, n - base_id);
+      std::fill(scores.begin(), scores.begin() + tile_rows * rows, 0.0f);
+      la::kernels::GemmNT(tile_rows, rows, dim_, tile, data_.row(base_id),
+                          scores.data());
       for (size_t i = 0; i < tile_rows; ++i) {
-        const float* row = scores.row(i);
+        const float* row = scores.data() + i * rows;
         switch (metric_) {
           case Metric::kL2:
             // |q - x|^2 = |q|^2 + |x|^2 - 2 q.x over the GEMM dots; the
             // kernel clamps tiny negatives from floating-point cancellation.
             la::kernels::SquaredDistanceFromDots(
-                query_sq[i], row, sq_norms_.data() + base_id, rows, dist.data());
+                query_sq[i], row, norms_sq_.data() + base_id, rows, dist.data());
             break;
           case Metric::kInnerProduct:
             for (size_t j = 0; j < rows; ++j) dist[j] = -row[j];
             break;
           case Metric::kCosine:
             for (size_t j = 0; j < rows; ++j) {
-              const float denom = query_norm[i] * norms_[base_id + j];
+              const float denom =
+                  query_norm[i] * std::sqrt(norms_sq_[base_id + j]);
               dist[j] = denom > 0.0f ? -row[j] / denom : 0.0f;
             }
             break;
@@ -131,7 +73,6 @@ SearchBatch MatmulSearchIndex::Search(const la::Matrix& queries, size_t k) const
           if (RowLive(base_id + j)) heaps[i].Push(IdOf(base_id + j), dist[j]);
         }
       }
-      base_id += rows;
     }
     for (size_t i = 0; i < tile_rows; ++i) {
       results[q0 + i] = heaps[i].Take();

@@ -1,61 +1,26 @@
 #ifndef DIAL_INDEX_MATMUL_SEARCH_H_
 #define DIAL_INDEX_MATMUL_SEARCH_H_
 
-#include <vector>
-
-#include "index/vector_index.h"
+#include "index/flat_index.h"
 
 /// \file
 /// Brute-force top-k by blocked matrix multiplication — the "to index or not
 /// to index" alternative (Abuzaid et al., ICDE'19) that DITTO uses for its
 /// advanced blocking and that the paper contrasts with FAISS k-selection
-/// (Sec. 5.4). Scores for a tile of queries against a block of database
-/// vectors are produced with one cache-friendly GEMM; the k-selection then
-/// runs over the dense score tile. Exact (same results as FlatIndex), but a
-/// different cost profile: GEMM throughput vs per-pair distance calls.
+/// (Sec. 5.4). Storage, cached norms and the whole lifecycle are FlatIndex's;
+/// only Search differs. Scores for a tile of 64 queries against a block of
+/// 256 stored rows come from one cache-friendly GEMM, and the k-selection
+/// runs over the dense score tile. Exact: the ids match FlatIndex's. L2
+/// distances are evaluated as the expansion |q|² + |x|² − 2q·x over the
+/// GEMM dots, so they are not bit-identical to FlatIndex's.
 
 namespace dial::index {
 
-class MatmulSearchIndex : public VectorIndex {
+class MatmulSearchIndex final : public FlatIndex {
  public:
-  struct Options {
-    /// Queries per GEMM tile.
-    size_t query_tile = 64;
-    /// Database rows per GEMM block.
-    size_t db_block = 256;
-  };
+  MatmulSearchIndex(size_t dim, Metric metric) : FlatIndex(dim, metric) {}
 
-  MatmulSearchIndex(size_t dim, Metric metric, Options options);
-  /// Default tile sizes.
-  MatmulSearchIndex(size_t dim, Metric metric)
-      : MatmulSearchIndex(dim, metric, Options{}) {}
-
-  void Add(const la::Matrix& vectors) override;
-  size_t size() const override { return count_; }
   SearchBatch Search(const la::Matrix& queries, size_t k) const override;
-
-  /// Lifecycle: no trained structure — refresh re-partitions the new vectors
-  /// into GEMM blocks and recomputes the cached norms.
-  using VectorIndex::Refresh;  // keep the default-options overload visible
-  RefreshStats Refresh(const la::Matrix& vectors,
-                       const RefreshOptions& options) override;
-
-  const Options& options() const { return options_; }
-
- protected:
-  /// Gathers the kept rows out of the GEMM blocks and re-packs them into
-  /// fresh blocks (same layout a from-scratch Add of the survivors builds).
-  void CompactRows(const std::vector<int>& keep) override;
-
- private:
-  Options options_;
-  /// Database pre-partitioned into row blocks of <= db_block rows.
-  std::vector<la::Matrix> blocks_;
-  /// Squared L2 norms per vector, aligned with global ids (kL2 expansion).
-  std::vector<float> sq_norms_;
-  /// L2 norms per vector (cosine denominator).
-  std::vector<float> norms_;
-  size_t count_ = 0;
 };
 
 }  // namespace dial::index

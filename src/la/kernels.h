@@ -44,7 +44,8 @@
 /// in util/thread_pool.h) runs inline even with a pool: at that size the
 /// pool's hand-off costs more than the GEMM. A single output row, a null
 /// pool, a single worker, or nested calls from a pool worker also run
-/// inline.
+/// inline. The pooled callers are the inference engine and LSH hashing;
+/// training tapes pass no pool.
 
 namespace dial::util {
 class ThreadPool;

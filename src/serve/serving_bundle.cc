@@ -12,10 +12,8 @@ namespace {
 
 constexpr uint32_t kBundleMagic = 0x5345'5256;  // "SERV"
 // v2: CRC32C trailer (whole-file, verified before parsing); payload layout
-// unchanged. v1 files still load — unverified, the pre-CRC contract.
+// unchanged. Only v2 loads; v1 files fail with kCorruption.
 constexpr uint32_t kBundleVersion = 2;
-constexpr uint32_t kBundleMinVersion = 1;
-constexpr uint32_t kBundleCrcFromVersion = 2;
 
 /// Embedding batch cap: keeps the load-time arena at request-sized shapes
 /// (bit-identical across any chunking — the engine's batching contract).
@@ -170,8 +168,7 @@ uint64_t ServingBundle::ComputeFingerprint() const {
 }
 
 util::Status ServingBundle::Save(const std::string& path) {
-  util::BinaryWriter writer(path, kBundleMagic, kBundleVersion,
-                            /*with_crc=*/true);
+  util::BinaryWriter writer(path, kBundleMagic, kBundleVersion);
   writer.WriteString(bundle_.name);
   writer.WriteString(data::ScaleName(options_.scale));
   writer.WriteU64(options_.data_seed);
@@ -192,8 +189,7 @@ util::Status ServingBundle::Save(const std::string& path) {
 
 util::StatusOr<std::unique_ptr<ServingBundle>> ServingBundle::Load(
     const std::string& path) {
-  util::BinaryReader reader(path, kBundleMagic, kBundleMinVersion,
-                            kBundleVersion, kBundleCrcFromVersion);
+  util::BinaryReader reader(path, kBundleMagic, kBundleVersion);
   DIAL_RETURN_IF_ERROR(reader.status());
 
   auto bundle = std::unique_ptr<ServingBundle>(new ServingBundle());

@@ -10,11 +10,9 @@ namespace dial::tplm {
 
 namespace {
 constexpr uint32_t kMagic = 0xd1a17001u;  // "dial tplm"
-// v2: CRC32C trailer; v1 entries still load unverified (a stale or corrupt
-// entry is recoverable anyway — the cache just re-pretrains).
+// v2: CRC32C trailer. A v1 entry fails to open like a corrupt one, which
+// the cache treats as a miss: it re-pretrains and rewrites the entry.
 constexpr uint32_t kVersion = 2;
-constexpr uint32_t kMinVersion = 1;
-constexpr uint32_t kCrcFromVersion = 2;
 }  // namespace
 
 ModelCache::ModelCache(std::string dir) : dir_(std::move(dir)) {
@@ -55,8 +53,7 @@ PretrainStats ModelCache::GetOrPretrain(TplmModel& model,
   std::string path;
   if (!dir_.empty()) {
     path = KeyPath(model, options, corpus_tag);
-    util::BinaryReader reader(path, kMagic, kMinVersion, kVersion,
-                              kCrcFromVersion);
+    util::BinaryReader reader(path, kMagic, kVersion);
     if (reader.status().ok()) {
       util::Status load = model.Load(reader);
       if (load.ok()) {
@@ -69,7 +66,7 @@ PretrainStats ModelCache::GetOrPretrain(TplmModel& model,
   }
   PretrainStats stats = Pretrain(model, vocab, corpus, options);
   if (!path.empty()) {
-    util::BinaryWriter writer(path, kMagic, kVersion, /*with_crc=*/true);
+    util::BinaryWriter writer(path, kMagic, kVersion);
     model.Save(writer);
     util::Status st = writer.Finish();
     if (!st.ok()) {

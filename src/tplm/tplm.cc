@@ -443,7 +443,6 @@ PretrainStats PretrainMlm(TplmModel& model, const text::SubwordVocab& vocab,
     for (size_t begin = 0; begin < order.size(); begin += options.batch_size) {
       const size_t end = std::min(order.size(), begin + options.batch_size);
       autograd::Tape tape;
-      tape.SetThreadPool(options.pool);
       nn::ForwardContext ctx{&tape, &rng, /*training=*/true};
       std::vector<Var> losses;
       for (size_t i = begin; i < end; ++i) {
@@ -575,7 +574,6 @@ PretrainStats PretrainPairDiscrimination(TplmModel& model,
     for (size_t begin = 0; begin < order.size(); begin += options.batch_size) {
       const size_t end = std::min(order.size(), begin + options.batch_size);
       autograd::Tape tape;
-      tape.SetThreadPool(options.pool);
       nn::ForwardContext ctx{&tape, &rng, /*training=*/true};
       std::vector<autograd::Var> logits;
       std::vector<float> targets;

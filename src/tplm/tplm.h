@@ -114,9 +114,6 @@ struct PretrainOptions {
   uint64_t seed = 13;
   /// Emit a progress log line every N batches (0 = quiet).
   size_t log_every = 0;
-  /// Optional unowned worker pool: pretraining tapes thread their GEMMs
-  /// through it (bit-identical to inline execution — see la/kernels.h).
-  util::ThreadPool* pool = nullptr;
 
   /// Self-supervised pair-discrimination (SPD) phase after MLM: the model
   /// classifies (x, perturb(x)) vs (x, random y) in paired mode with a

@@ -27,8 +27,8 @@ Status SyncParentDir(const std::string& path) {
 }
 
 BinaryWriter::BinaryWriter(const std::string& path, uint32_t magic,
-                           uint32_t version, bool with_crc)
-    : path_(path), with_crc_(with_crc) {
+                           uint32_t version)
+    : path_(path) {
   file_ = std::fopen(path.c_str(), "wb");
   if (file_ == nullptr) {
     status_ = Status::IoError("cannot open for write: " + path);
@@ -54,7 +54,7 @@ void BinaryWriter::WriteBytes(const void* data, size_t n) {
     return;
   }
   bytes_written_ += n;
-  if (with_crc_) crc_ = Crc32cExtend(crc_, data, n);
+  crc_ = Crc32cExtend(crc_, data, n);
 }
 
 void BinaryWriter::WriteU32(uint32_t v) { WriteBytes(&v, sizeof(v)); }
@@ -94,14 +94,10 @@ void BinaryWriter::WriteZeros(size_t n) {
 
 Status BinaryWriter::Finish(bool durable) {
   if (file_ != nullptr) {
-    if (with_crc_) {
-      // The trailer covers everything before it and is excluded from the
-      // running checksum (disarm before emitting it).
-      const uint32_t crc = crc_;
-      with_crc_ = false;
-      WriteU32(kCrcTrailerMagic);
-      WriteU32(crc);
-    }
+    // The stored CRC covers everything before the trailer.
+    const uint32_t crc = crc_;
+    WriteU32(kCrcTrailerMagic);
+    WriteU32(crc);
     if (durable && status_.ok()) {
       if (std::fflush(file_) != 0 || ::fsync(::fileno(file_)) != 0) {
         status_ = Status::IoError("fsync failed for " + path_);
@@ -116,13 +112,7 @@ Status BinaryWriter::Finish(bool durable) {
 }
 
 BinaryReader::BinaryReader(const std::string& path, uint32_t magic,
-                           uint32_t expected_version)
-    : BinaryReader(path, magic, expected_version, expected_version,
-                   /*crc_from_version=*/UINT32_MAX) {}
-
-BinaryReader::BinaryReader(const std::string& path, uint32_t magic,
-                           uint32_t min_version, uint32_t max_version,
-                           uint32_t crc_from_version) {
+                           uint32_t version) {
   file_ = std::fopen(path.c_str(), "rb");
   if (file_ == nullptr) {
     status_ = Status::NotFound("cannot open for read: " + path);
@@ -139,17 +129,17 @@ BinaryReader::BinaryReader(const std::string& path, uint32_t magic,
   }
   file_size_ = static_cast<uint64_t>(size);
   const uint32_t got_magic = ReadU32();
-  version_ = ReadU32();
+  const uint32_t got_version = ReadU32();
   if (!status_.ok()) return;
   if (got_magic != magic) {
     status_ = Status::Corruption("bad magic in " + path);
     return;
   }
-  if (version_ < min_version || version_ > max_version) {
+  if (got_version != version) {
     status_ = Status::Corruption("unsupported version in " + path);
     return;
   }
-  if (version_ >= crc_from_version) VerifyCrcTrailer(path);
+  VerifyCrcTrailer(path);
 }
 
 void BinaryReader::VerifyCrcTrailer(const std::string& path) {

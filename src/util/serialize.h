@@ -15,14 +15,15 @@
 /// readers validate lengths so truncated/corrupted files fail with `Status`
 /// rather than UB.
 ///
-/// Integrity: a writer opened `with_crc` checksums every byte it emits
-/// (CRC32C, incrementally — no second pass) and `Finish` appends an 8-byte
-/// trailer `[u32 kCrcTrailerMagic][u32 crc]`. A reader given a
-/// `crc_from_version` verifies the whole file against the trailer up front
-/// — before any field is parsed — so an interior bit-flip fails fast with
-/// `kCorruption` instead of deserializing garbage that happens to pass the
-/// per-field bounds checks. The trailer is then hidden from `RemainingBytes`
-/// so format parsers never see it.
+/// Integrity: the writer checksums every byte it emits (CRC32C,
+/// incrementally — no second pass) and `Finish` appends an 8-byte trailer
+/// `[u32 kCrcTrailerMagic][u32 crc]`. The reader accepts exactly one format
+/// version and verifies the whole file against the trailer up front —
+/// before any field is parsed — so an interior bit-flip, a truncation, or a
+/// file from another version fails fast with `kCorruption` instead of
+/// deserializing garbage that happens to pass the per-field bounds checks.
+/// The trailer is then hidden from `RemainingBytes` so format parsers never
+/// see it.
 
 namespace dial::util {
 
@@ -40,10 +41,9 @@ Status SyncParentDir(const std::string& path);
 /// error status returned by `Finish()`.
 class BinaryWriter {
  public:
-  /// Opens `path` for writing and emits the header. `with_crc` arms the
-  /// incremental checksum; Finish then appends the CRC trailer.
-  BinaryWriter(const std::string& path, uint32_t magic, uint32_t version,
-               bool with_crc = false);
+  /// Opens `path` for writing and emits the header; Finish appends the CRC
+  /// trailer.
+  BinaryWriter(const std::string& path, uint32_t magic, uint32_t version);
   ~BinaryWriter();
 
   BinaryWriter(const BinaryWriter&) = delete;
@@ -70,7 +70,7 @@ class BinaryWriter {
   /// without re-stat()ing the file.
   uint64_t BytesWritten() const { return bytes_written_; }
 
-  /// Appends the CRC trailer (when armed), closes the file, and reports the
+  /// Appends the CRC trailer, closes the file, and reports the
   /// first error encountered. `durable` additionally fsyncs file contents
   /// before close — pair with SyncParentDir after a rename for crash-safe
   /// replace-by-rename saves.
@@ -83,24 +83,17 @@ class BinaryWriter {
   Status status_;
   std::string path_;
   uint64_t bytes_written_ = 0;
-  bool with_crc_ = false;
   uint32_t crc_ = 0;
 };
 
-/// Reads a file produced by BinaryWriter, validating magic and version —
-/// and, for versions carrying it, the CRC trailer (verified up front).
+/// Reads a file produced by BinaryWriter, validating magic, version and the
+/// CRC trailer (verified up front).
 class BinaryReader {
  public:
-  /// Exact-version reader for CRC-less legacy formats.
-  BinaryReader(const std::string& path, uint32_t magic, uint32_t expected_version);
-
-  /// Accepts versions in [min_version, max_version]; files at versions >=
-  /// crc_from_version must carry a valid CRC trailer (whole-file verify
-  /// before the first field read; the trailer is then invisible to
-  /// RemainingBytes and payload reads). Older versions load unverified —
-  /// the back-compat path.
-  BinaryReader(const std::string& path, uint32_t magic, uint32_t min_version,
-               uint32_t max_version, uint32_t crc_from_version);
+  /// Accepts only `version`, and only with a valid CRC trailer (whole-file
+  /// verify before the first field read; the trailer is then invisible to
+  /// RemainingBytes and payload reads).
+  BinaryReader(const std::string& path, uint32_t magic, uint32_t version);
   ~BinaryReader();
 
   BinaryReader(const BinaryReader&) = delete;
@@ -109,11 +102,8 @@ class BinaryReader {
   /// Non-OK if the file failed to open or validate; check before reading.
   const Status& status() const { return status_; }
 
-  /// The file's format version (valid once status() is OK).
-  uint32_t version() const { return version_; }
-
   /// Bytes left between the read cursor and the end of the payload (the CRC
-  /// trailer, when present, is excluded). Length-prefixed reads validate
+  /// trailer is excluded). Length-prefixed reads validate
   /// their length against this before allocating, so a corrupted length
   /// field fails cleanly instead of reserving up to the 1 GiB sanity cap.
   uint64_t RemainingBytes() const;
@@ -135,7 +125,6 @@ class BinaryReader {
   Status status_;
   uint64_t file_size_ = 0;
   uint64_t offset_ = 0;
-  uint32_t version_ = 0;
 };
 
 }  // namespace dial::util

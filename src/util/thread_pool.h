@@ -73,15 +73,14 @@ class ThreadPool {
 
 /// Work (multiply-adds, or a comparable per-element cost) below which
 /// `ParallelFor` runs inline even with a pool. 2^18 is the 2-worker
-/// crossover of the tape's row-split GEMMs measured on a 4-core AVX-512
-/// host: pooled over inline time was 3.42x at 40x32x32, 1.45x at 64x64x32,
-/// 0.92x at 64x64x64 and 0.67x at 256x64x64. bench_la_micro's hot-loop
-/// sweep of isolated GEMMs (`pooled_over_inline` in BENCH_la.json) puts the
-/// crossover higher on the same host, near 2^20, so a GEMM between the two
-/// may still run slower on the pool (about 3x, some 20 us, at 64x64x64 in
-/// that sweep). Every tape GEMM of the dim-32 model with at most 64
-/// positions lies below 2^18; the MLM head's 64x2048x32 vocabulary GEMM
-/// lies above both. The inference engine's GEMMs over a full pack (FFN
+/// crossover of row-split GEMMs at the training tape's shapes, measured on
+/// a 4-core AVX-512 host: pooled over inline time was 3.42x at 40x32x32,
+/// 1.45x at 64x64x32, 0.92x at 64x64x64 and 0.67x at 256x64x64.
+/// bench_la_micro's hot-loop sweep of isolated GEMMs (`pooled_over_inline`
+/// in BENCH_la.json) puts the crossover higher on the same host, near 2^20,
+/// so a GEMM between the two may still run slower on the pool (about 3x,
+/// some 20 us, at 64x64x64 in that sweep). Training tapes carry no pool and
+/// always run inline. The inference engine's GEMMs over a full pack (FFN
 /// 480x64x32, CLS-mode K/V 480x32x32) lie between the two. They reach the
 /// pool only when a call holds a single pack (packs of a multi-pack call
 /// run on workers, where nested calls run inline), and there one-pack

@@ -461,32 +461,37 @@ TEST_F(MatcherFixture, SingleModeEmbeddingsNormalized) {
   }
 }
 
-// At smoke shapes (dim 32, at most 60 positions) every tape GEMM lies below
-// util::kMinParallelWork, so training with a pool attached must hand the
-// pool nothing: each hand-off would cost more than the GEMM it carries.
-// A count, not a time, so the pin holds on any host.
+// Training tapes run inline, so training with a pool attached must hand the
+// pool nothing. At smoke shapes (dim 32, at most 60 positions) every tape
+// GEMM lies below util::kMinParallelWork anyway; the dim-128 model's
+// 60x128x128 GEMMs lie above it, so only the inline tape keeps them off
+// the pool. A count, not a time, so the pin holds on any host.
 TEST(MatcherThreading, SmokeShapeTrainingSubmitsNoPoolTasks) {
   const auto bundle = data::MakeDataset("dblp_acm", data::Scale::kSmoke, 2);
   text::SubwordVocab::Options vo;
   vo.max_vocab = 1024;
   const auto vocab = text::SubwordVocab::Train(bundle.CorpusLines(), vo);
-  tplm::TplmConfig config;  // the smoke-scale model
-  ASSERT_EQ(config.transformer.dim, 32u);
-  ASSERT_LE(config.transformer.max_positions, 64u);
-  config.transformer.vocab_size = vocab.size();
-  tplm::TplmModel pretrained("p", config, 3);
-
   util::Rng rng(4);
   const auto seed = data::SampleSeedSet(bundle, 10, rng);
-  PairEncodingCache cache(&bundle, &vocab, config.max_pair_len);
-  MatcherConfig mc;
-  mc.epochs = 1;
-  Matcher matcher(config, mc, 5);
-  matcher.ResetFromPretrained(pretrained);
-  util::ThreadPool pool(2);
-  matcher.SetThreadPool(&pool);
-  matcher.Train(cache, seed.AllPairs());
-  EXPECT_EQ(pool.tasks_submitted(), 0u);
+  for (const size_t dim : {32u, 128u}) {
+    tplm::TplmConfig config;  // the smoke-scale model, optionally widened
+    ASSERT_EQ(config.transformer.dim, 32u);
+    ASSERT_LE(config.transformer.max_positions, 64u);
+    config.transformer.dim = dim;
+    config.transformer.ffn_dim = 2 * dim;
+    config.transformer.vocab_size = vocab.size();
+    tplm::TplmModel pretrained("p", config, 3);
+
+    PairEncodingCache cache(&bundle, &vocab, config.max_pair_len);
+    MatcherConfig mc;
+    mc.epochs = 1;
+    Matcher matcher(config, mc, 5);
+    matcher.ResetFromPretrained(pretrained);
+    util::ThreadPool pool(2);
+    matcher.SetThreadPool(&pool);
+    matcher.Train(cache, seed.AllPairs());
+    EXPECT_EQ(pool.tasks_submitted(), 0u) << "dim " << dim;
+  }
 }
 
 TEST_F(MatcherFixture, BadgeEmbeddingsShape) {

@@ -337,19 +337,19 @@ INSTANTIATE_TEST_SUITE_P(Metrics, HnswMetrics,
 
 // ---------------------------------------------------------------------------
 // Blocked-matmul exact search: must agree with FlatIndex bit-for-bit on ids.
+// The scan tiles 64 queries against 256 stored rows per GEMM, so the shapes
+// below straddle both tile edges.
 
 class MatmulMetrics : public testing::TestWithParam<Metric> {};
 
 TEST_P(MatmulMetrics, ExactlyMatchesFlat) {
   const Metric metric = GetParam();
-  const la::Matrix data = RandomVectors(130, 8, 18);
-  const la::Matrix queries = RandomVectors(70, 8, 19);
+  // 600 rows = blocks of 256 + 256 + 88; 130 queries = tiles of 64 + 64 + 2.
+  const la::Matrix data = RandomVectors(600, 8, 18);
+  const la::Matrix queries = RandomVectors(130, 8, 19);
   FlatIndex flat(8, metric);
   flat.Add(data);
-  MatmulSearchIndex::Options options;
-  options.query_tile = 16;  // force multiple tiles
-  options.db_block = 32;    // force multiple blocks
-  MatmulSearchIndex matmul(8, metric, options);
+  MatmulSearchIndex matmul(8, metric);
   matmul.Add(data);
   const auto a = flat.Search(queries, 7);
   const auto b = matmul.Search(queries, 7);
@@ -368,44 +368,46 @@ INSTANTIATE_TEST_SUITE_P(Metrics, MatmulMetrics,
                                          Metric::kCosine));
 
 TEST(MatmulSearchIndex, TileBoundarySizes) {
-  // Sizes around the tile/block boundaries (1, tile-1, tile, tile+1).
-  for (const size_t n : {1u, 31u, 32u, 33u, 65u}) {
-    const la::Matrix data = RandomVectors(n, 4, 20 + n);
-    MatmulSearchIndex::Options options;
-    options.query_tile = 8;
-    options.db_block = 32;
-    MatmulSearchIndex index(4, Metric::kL2, options);
-    index.Add(data);
-    FlatIndex flat(4, Metric::kL2);
-    flat.Add(data);
-    const la::Matrix queries = RandomVectors(9, 4, 40 + n);
-    const auto a = flat.Search(queries, 3);
-    const auto b = index.Search(queries, 3);
-    for (size_t q = 0; q < queries.rows(); ++q) {
-      ASSERT_EQ(a[q].size(), b[q].size()) << "n=" << n;
-      for (size_t i = 0; i < a[q].size(); ++i) {
-        EXPECT_EQ(a[q][i].id, b[q][i].id) << "n=" << n;
+  // Rows and queries around the block/tile edges (edge - 1, edge, edge + 1).
+  for (const size_t n : {1u, 255u, 256u, 257u, 513u}) {
+    for (const size_t m : {1u, 63u, 64u, 65u}) {
+      const la::Matrix data = RandomVectors(n, 4, 20 + n);
+      MatmulSearchIndex index(4, Metric::kL2);
+      index.Add(data);
+      FlatIndex flat(4, Metric::kL2);
+      flat.Add(data);
+      const la::Matrix queries = RandomVectors(m, 4, 40 + n + m);
+      const auto a = flat.Search(queries, 3);
+      const auto b = index.Search(queries, 3);
+      ASSERT_EQ(b.size(), m);
+      for (size_t q = 0; q < m; ++q) {
+        ASSERT_EQ(a[q].size(), b[q].size()) << "n=" << n << " m=" << m;
+        for (size_t i = 0; i < a[q].size(); ++i) {
+          EXPECT_EQ(a[q][i].id, b[q][i].id) << "n=" << n << " m=" << m;
+        }
       }
     }
   }
 }
 
 TEST(MatmulSearchIndex, IncrementalAddAcrossBlockBoundary) {
-  MatmulSearchIndex::Options options;
-  options.db_block = 16;
-  MatmulSearchIndex index(4, Metric::kL2, options);
-  // 10 + 10 rows: second Add must top up the half-full block, then open a
-  // new one.
-  const la::Matrix a = RandomVectors(10, 4, 60);
-  const la::Matrix b = RandomVectors(10, 4, 61);
+  MatmulSearchIndex index(4, Metric::kL2);
+  // 200 + 100 rows: the second Add straddles the 256-row block edge.
+  const la::Matrix a = RandomVectors(200, 4, 60);
+  const la::Matrix b = RandomVectors(100, 4, 61);
   index.Add(a);
   index.Add(b);
-  EXPECT_EQ(index.size(), 20u);
-  la::Matrix query(1, 4);
-  std::copy(b.row(4), b.row(4) + 4, query.row(0));
+  EXPECT_EQ(index.size(), 300u);
+  // Copies of b's rows 55 and 56 (ids 255 and 256, the last row of the
+  // first block and the first of the second).
+  la::Matrix query(2, 4);
+  std::copy(b.row(55), b.row(55) + 4, query.row(0));
+  std::copy(b.row(56), b.row(56) + 4, query.row(1));
   const auto results = index.Search(query, 1);
-  EXPECT_EQ(results[0][0].id, 14);
+  EXPECT_EQ(results[0][0].id, 255);
   EXPECT_NEAR(results[0][0].distance, 0.0f, 1e-5f);
+  EXPECT_EQ(results[1][0].id, 256);
+  EXPECT_NEAR(results[1][0].distance, 0.0f, 1e-5f);
 }
 
 TEST(MatmulSearchIndex, EmptySearch) {

@@ -293,57 +293,31 @@ TEST(MatrixPooled, MatMulVariantsBitIdenticalWithPool) {
   }
 }
 
-// Gradients still check out through the blocked (and pooled) GEMMs, and the
-// backward pass is bit-identical threaded vs inline. The small net's GEMMs
-// stay below util::kMinParallelWork; the tall one's first-layer forward and
-// weight-gradient GEMMs (4096x16x8) lie above it and run on the workers.
+// Gradients still check out through the blocked GEMMs. Training tapes run
+// inline; pooled GEMM stays under test through KernelShapes and
+// MatrixPooled above.
 TEST(KernelGradients, GradcheckThroughPooledMatMul) {
-  struct Net {
-    size_t rows, in, hidden, out;
-    bool pooled;  // first-layer GEMMs at or above the work cutoff
+  util::Rng rng(5);
+  autograd::Parameter w1("w1", 7, 9);
+  autograd::Parameter w2("w2", 9, 3);
+  w1.value.RandNormal(rng, 0.5f);
+  w2.value.RandNormal(rng, 0.5f);
+  const Matrix x = Random(5, 7, 109);
+
+  const auto loss_fn = [&]() {
+    autograd::Tape tape;
+    autograd::Var h = autograd::MatMul(tape.Constant(x), tape.Leaf(&w1));
+    autograd::Var out =
+        autograd::MatMul(autograd::Tanh(h), tape.Leaf(&w2));
+    autograd::Var loss = autograd::MeanAll(autograd::Square(out));
+    w1.ZeroGrad();
+    w2.ZeroGrad();
+    tape.Backward(loss);
+    return loss.scalar();
   };
-  for (const Net net : {Net{5, 7, 9, 3, false}, Net{4096, 8, 16, 1, true}}) {
-    util::Rng rng(5);
-    autograd::Parameter w1("w1", net.in, net.hidden);
-    autograd::Parameter w2("w2", net.hidden, net.out);
-    w1.value.RandNormal(rng, 0.5f);
-    w2.value.RandNormal(rng, 0.5f);
-    const Matrix x = Random(net.rows, net.in, 109);
-
-    util::ThreadPool pool(2);
-    const auto loss_fn = [&](util::ThreadPool* tape_pool) {
-      autograd::Tape tape;
-      tape.SetThreadPool(tape_pool);
-      autograd::Var h = autograd::MatMul(tape.Constant(x), tape.Leaf(&w1));
-      autograd::Var out =
-          autograd::MatMul(autograd::Tanh(h), tape.Leaf(&w2));
-      autograd::Var loss = autograd::MeanAll(autograd::Square(out));
-      w1.ZeroGrad();
-      w2.ZeroGrad();
-      tape.Backward(loss);
-      return loss.scalar();
-    };
-    // Central differences cost two losses per entry, so the tall net checks
-    // only w2 numerically: its loss still runs through the pooled forward
-    // GEMM, and w1's pooled gradient is pinned bit-identical to inline below.
-    const std::vector<autograd::Parameter*> checked =
-        net.pooled ? std::vector<autograd::Parameter*>{&w2}
-                   : std::vector<autograd::Parameter*>{&w1, &w2};
-    const auto result =
-        autograd::CheckGradients(checked, [&] { return loss_fn(&pool); });
-    EXPECT_TRUE(result.ok) << net.rows << " rows: max_abs="
-                           << result.max_abs_error
-                           << " max_rel=" << result.max_rel_error;
-    EXPECT_EQ(pool.tasks_submitted() > 0, net.pooled) << net.rows << " rows";
-
-    // Same loss and gradients without any pool.
-    const float pooled_loss = loss_fn(&pool);
-    const Matrix g1_pooled = w1.grad;
-    const Matrix g2_pooled = w2.grad;
-    EXPECT_EQ(loss_fn(nullptr), pooled_loss);
-    ExpectBitIdentical(g1_pooled, w1.grad);
-    ExpectBitIdentical(g2_pooled, w2.grad);
-  }
+  const auto result = autograd::CheckGradients({&w1, &w2}, loss_fn);
+  EXPECT_TRUE(result.ok) << "max_abs=" << result.max_abs_error
+                         << " max_rel=" << result.max_rel_error;
 }
 
 }  // namespace

@@ -278,10 +278,9 @@ TEST(RecordPack, EverySingleBitFlipIsRejected) {
   }
 }
 
-TEST(RecordPack, LoadsVersion1PackWithoutTrailer) {
+TEST(RecordPack, RejectsVersion1PackWithoutTrailer) {
   // Synthesize a v1 pack (the pre-CRC format) from a v2 one: drop the
-  // trailer and patch the header version. Old packs on disk must keep
-  // loading bit-for-bit.
+  // trailer and patch the header version. Only v2 opens.
   const std::string path = WriteFixture("rp_v1_src.pack");
   std::string bytes = ReadFile(path);
   bytes.resize(bytes.size() - util::kCrcTrailerBytes);
@@ -292,11 +291,8 @@ TEST(RecordPack, LoadsVersion1PackWithoutTrailer) {
   for (const auto mode : {RecordPackReader::Mode::kMmap,
                           RecordPackReader::Mode::kInMemory}) {
     RecordPackReader reader;
-    DIAL_ASSERT_OK(reader.Open(v1_path, mode));
-    ASSERT_EQ(reader.size(), 4u);
-    EXPECT_EQ(reader.Get(0).values[0], "alpha one");
-    EXPECT_EQ(reader.Get(2).values[2], std::string(300, 'x'));
-    EXPECT_EQ(reader.EntityId(3), -1);
+    EXPECT_EQ(reader.Open(v1_path, mode).code(), util::StatusCode::kCorruption);
+    EXPECT_EQ(reader.size(), 0u);
   }
 }
 

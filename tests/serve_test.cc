@@ -974,9 +974,9 @@ TEST_F(ServingBundleTest, BundleRejectsEveryBitFlip) {
   std::remove(bad_path.c_str());
 }
 
-TEST_F(ServingBundleTest, LoadsVersion1BundleWithoutTrailer) {
-  // v1 bundles (pre-CRC) must keep loading: synthesize one by dropping the
-  // trailer and patching the header version, then check score identity.
+TEST_F(ServingBundleTest, RejectsVersion1BundleWithoutTrailer) {
+  // v1 bundles (pre-CRC) no longer load: synthesize one by dropping the
+  // trailer and patching the header version.
   const std::string path = TempPath("serve_bundle_v1_src.bin");
   DIAL_ASSERT_OK(bundle_->Save(path));
   std::ifstream in(path, std::ios::binary);
@@ -990,18 +990,9 @@ TEST_F(ServingBundleTest, LoadsVersion1BundleWithoutTrailer) {
   std::ofstream out(v1_path, std::ios::binary | std::ios::trunc);
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
   out.close();
-  DIAL_ASSERT_OK_AND_ASSIGN(const std::unique_ptr<ServingBundle> loaded,
-                            ServingBundle::Load(v1_path));
-  const std::vector<data::PairId> pairs = {{0, 0}, {1, 3}};
-  autograd::InferenceContext ctx_a, ctx_b;
-  DIAL_ASSERT_OK_AND_ASSIGN(const std::vector<float> want,
-                            bundle_->MatchPairs(ctx_a, pairs));
-  DIAL_ASSERT_OK_AND_ASSIGN(const std::vector<float> got,
-                            loaded->MatchPairs(ctx_b, pairs));
-  ASSERT_EQ(want.size(), got.size());
-  for (size_t i = 0; i < want.size(); ++i) {
-    EXPECT_EQ(std::memcmp(&want[i], &got[i], sizeof(float)), 0) << i;
-  }
+  const auto loaded = ServingBundle::Load(v1_path);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), util::StatusCode::kCorruption);
   std::remove(path.c_str());
   std::remove(v1_path.c_str());
 }

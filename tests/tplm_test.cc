@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <unistd.h>
+
+#include <cstring>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 
 #include "status_matchers.h"
 #include "tplm/model_cache.h"
@@ -200,6 +204,40 @@ TEST(ModelCache, StoresAndHits) {
   for (size_t i = 0; i < pa.size(); ++i) {
     EXPECT_EQ(pa[i]->value.storage(), pb[i]->value.storage());
   }
+
+  // A v1 entry (the pre-CRC format: no trailer, header version 1) fails to
+  // open, which the cache treats as a silent miss: it re-pretrains and
+  // rewrites the entry, and the call after that hits.
+  std::vector<std::filesystem::path> entries;
+  for (const auto& e : std::filesystem::directory_iterator(dir)) {
+    entries.push_back(e.path());
+  }
+  ASSERT_EQ(entries.size(), 1u);
+  const auto read_entry = [&] {
+    std::ifstream in(entries[0], std::ios::binary);
+    return std::string((std::istreambuf_iterator<char>(in)),
+                       std::istreambuf_iterator<char>());
+  };
+  const std::string v2_bytes = read_entry();
+  ASSERT_GT(v2_bytes.size(), 16u);
+  std::string v1_bytes = v2_bytes.substr(0, v2_bytes.size() - 8);
+  const uint32_t v1 = 1;
+  std::memcpy(&v1_bytes[sizeof(uint32_t)], &v1, sizeof(v1));
+  {
+    std::ofstream out(entries[0], std::ios::binary | std::ios::trunc);
+    out.write(v1_bytes.data(), static_cast<std::streamsize>(v1_bytes.size()));
+  }
+  TplmModel third("m", config, 7);
+  ModelCache cache3(dir);
+  cache3.GetOrPretrain(third, vocab, ToyCorpus(), options, tag);
+  EXPECT_FALSE(cache3.last_was_hit());
+  // Pretraining is deterministic, so the rewrite restores the v2 bytes.
+  EXPECT_TRUE(read_entry() == v2_bytes) << "entry not rewritten";
+
+  TplmModel fourth("m", config, 7);
+  ModelCache cache4(dir);
+  cache4.GetOrPretrain(fourth, vocab, ToyCorpus(), options, tag);
+  EXPECT_TRUE(cache4.last_was_hit());
 }
 
 TEST(ModelCache, DistinctKeysForDistinctCorpora) {

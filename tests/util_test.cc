@@ -497,7 +497,7 @@ TEST(Serialize, TruncationDetected) {
     writer.WriteFloatVector(std::vector<float>(100, 1.0f));
     ASSERT_TRUE(writer.Finish().ok());
   }
-  // Truncate the file.
+  // Truncate the file: the up-front CRC verify fails before any field read.
   {
     FILE* f = fopen(path.c_str(), "rb+");
     ASSERT_NE(f, nullptr);
@@ -505,9 +505,7 @@ TEST(Serialize, TruncationDetected) {
     fclose(f);
   }
   BinaryReader reader(path, 0x1111u, 1);
-  ASSERT_TRUE(reader.status().ok());
-  reader.ReadFloatVector();
-  EXPECT_FALSE(reader.status().ok());
+  EXPECT_EQ(reader.status().code(), StatusCode::kCorruption);
 }
 
 TEST(Serialize, MissingFileIsNotFound) {
@@ -529,35 +527,30 @@ TEST(Crc32c, KnownVectorsAndIncrementalExtend) {
 }
 
 TEST(Serialize, CrcTrailerRoundTripsAndAddsEightBytes) {
-  const std::string plain = testing::TempDir() + "/dial_crc_plain.bin";
-  const std::string checked = testing::TempDir() + "/dial_crc_checked.bin";
+  const std::string path = testing::TempDir() + "/dial_crc_checked.bin";
   const std::vector<float> payload(17, 2.5f);
-  size_t plain_size = 0;
   {
-    BinaryWriter writer(plain, 0x1111u, 1);
+    BinaryWriter writer(path, 0x1111u, 1);
     writer.WriteFloatVector(payload);
+    // Header + u64 length + floats; Finish adds only the trailer.
+    const uint64_t body = 8 + 8 + payload.size() * sizeof(float);
+    EXPECT_EQ(writer.BytesWritten(), body);
     ASSERT_TRUE(writer.Finish().ok());
-    plain_size = writer.BytesWritten();
+    EXPECT_EQ(writer.BytesWritten(), body + kCrcTrailerBytes);
   }
-  {
-    BinaryWriter writer(checked, 0x1111u, 1, /*with_crc=*/true);
-    writer.WriteFloatVector(payload);
-    ASSERT_TRUE(writer.Finish().ok());
-    EXPECT_EQ(writer.BytesWritten(), plain_size + kCrcTrailerBytes);
-  }
-  BinaryReader reader(checked, 0x1111u, 1, 1, /*crc_from_version=*/1);
+  BinaryReader reader(path, 0x1111u, 1);
   ASSERT_TRUE(reader.status().ok()) << reader.status().message();
+  EXPECT_EQ(reader.RemainingBytes(), 8 + payload.size() * sizeof(float));
   const std::vector<float> got = reader.ReadFloatVector();
   ASSERT_TRUE(reader.status().ok());
   EXPECT_EQ(got, payload);
-  std::remove(plain.c_str());
-  std::remove(checked.c_str());
+  std::remove(path.c_str());
 }
 
 TEST(Serialize, CrcTrailerRejectsEveryBitFlip) {
   const std::string path = testing::TempDir() + "/dial_crc_flip.bin";
   {
-    BinaryWriter writer(path, 0x1111u, 1, /*with_crc=*/true);
+    BinaryWriter writer(path, 0x1111u, 1);
     writer.WriteString("checksummed payload");
     writer.WriteU64(0x0123456789abcdefull);
     ASSERT_TRUE(writer.Finish().ok());
@@ -579,7 +572,7 @@ TEST(Serialize, CrcTrailerRejectsEveryBitFlip) {
     ASSERT_NE(f, nullptr);
     ASSERT_EQ(fwrite(mutated.data(), 1, mutated.size(), f), mutated.size());
     fclose(f);
-    BinaryReader reader(bad, 0x1111u, 1, 1, /*crc_from_version=*/1);
+    BinaryReader reader(bad, 0x1111u, 1);
     ASSERT_FALSE(reader.status().ok()) << "accepted flip at byte " << i;
     EXPECT_EQ(reader.status().code(), StatusCode::kCorruption);
   }
@@ -587,30 +580,36 @@ TEST(Serialize, CrcTrailerRejectsEveryBitFlip) {
   std::remove(bad.c_str());
 }
 
-TEST(Serialize, CrcOnlyAppliesFromConfiguredVersion) {
-  // A reader whose crc_from_version is above the file's version must treat
-  // the file as trailer-less — the back-compat path old artifacts take.
+TEST(Serialize, RejectsOlderVersionWithoutTrailer) {
+  // A pre-CRC artifact: a v1 file with no trailer. A reader of v2 rejects
+  // it, and so does a reader of v1 — every version must carry the trailer.
   const std::string path = testing::TempDir() + "/dial_crc_compat.bin";
   {
-    BinaryWriter writer(path, 0x1111u, 1);  // v1, no trailer
+    BinaryWriter writer(path, 0x1111u, 1);
     writer.WriteU32(7u);
     ASSERT_TRUE(writer.Finish().ok());
   }
-  BinaryReader reader(path, 0x1111u, 1, 2, /*crc_from_version=*/2);
-  ASSERT_TRUE(reader.status().ok()) << reader.status().message();
-  EXPECT_EQ(reader.ReadU32(), 7u);
-  ASSERT_TRUE(reader.status().ok());
+  {
+    FILE* f = fopen(path.c_str(), "rb+");
+    ASSERT_NE(f, nullptr);
+    ASSERT_EQ(ftruncate(fileno(f), 8 + 4), 0);  // drop the trailer
+    fclose(f);
+  }
+  for (const uint32_t version : {2u, 1u}) {
+    BinaryReader reader(path, 0x1111u, version);
+    EXPECT_EQ(reader.status().code(), StatusCode::kCorruption) << version;
+  }
   std::remove(path.c_str());
 }
 
 TEST(Serialize, DurableFinishSurvivesReload) {
   const std::string path = testing::TempDir() + "/dial_crc_durable.bin";
   {
-    BinaryWriter writer(path, 0x1111u, 1, /*with_crc=*/true);
+    BinaryWriter writer(path, 0x1111u, 1);
     writer.WriteString("fsynced");
     ASSERT_TRUE(writer.Finish(/*durable=*/true).ok());
   }
-  BinaryReader reader(path, 0x1111u, 1, 1, /*crc_from_version=*/1);
+  BinaryReader reader(path, 0x1111u, 1);
   ASSERT_TRUE(reader.status().ok());
   EXPECT_EQ(reader.ReadString(), "fsynced");
   std::remove(path.c_str());

@@ -18,7 +18,6 @@
 
 #include <cstdio>
 #include <cstring>
-#include <memory>
 
 #include "baselines/jedai.h"
 #include "baselines/rules.h"
@@ -27,7 +26,6 @@
 #include "data/record_pack.h"
 #include "util/flags.h"
 #include "util/string_util.h"
-#include "util/thread_pool.h"
 #include "util/table_printer.h"
 
 namespace {
@@ -114,8 +112,8 @@ int CmdRun(int argc, char** argv) {
   double* cand_mult = flags.AddDouble("cand-mult", 0.0, "|cand| = mult*|S| (0 = default)");
   int64_t* threads = flags.AddInt(
       "threads", 0,
-      "AL-loop worker pool: blocking, index search, batched inference, "
-      "GEMMs >= 2^18 multiply-adds (0 = inline)");
+      "AL-loop worker pool: blocking, index search, batched inference "
+      "(training runs inline; 0 = inline)");
   bool* refresh = flags.AddBool(
       "refresh", true,
       "warm-start blocker indexes across rounds (off = rebuild every round)");
@@ -139,19 +137,7 @@ int CmdRun(int argc, char** argv) {
 
   dial::core::ExperimentConfig exp_config;
   exp_config.scale = dial::data::ParseScale(*scale_text);
-  // --threads also sizes a pool for pretraining (cache misses only): tape
-  // GEMMs of at least util::kMinParallelWork multiply-adds (the MLM head's)
-  // thread through it with bit-identical results, so the on-disk model
-  // cache key is unaffected.
-  std::unique_ptr<dial::util::ThreadPool> pretrain_pool;
-  if (*threads > 0) {
-    pretrain_pool =
-        std::make_unique<dial::util::ThreadPool>(static_cast<size_t>(*threads));
-    exp_config.pretrain.pool = pretrain_pool.get();
-  }
   dial::core::Experiment exp = dial::core::PrepareExperiment(*dataset, exp_config);
-  exp_config.pretrain.pool = nullptr;  // pool dies here; don't leave a trap
-  pretrain_pool.reset();
 
   dial::core::AlConfig al =
       dial::core::DefaultAlConfig(exp_config.scale, static_cast<uint64_t>(*seed));

@@ -20,6 +20,7 @@
 #include <array>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <vector>
 
 #include "bench_common.h"
@@ -61,6 +62,9 @@ void NaiveDistanceScan(const float* q, const Matrix& base, float* out) {
     out[i] = acc;
   }
 }
+
+/// Distance-scan widths: the IBC and model width, and a wider embedding.
+constexpr size_t kScanDims[] = {32, 64};
 
 Matrix Random(size_t rows, size_t cols, uint64_t seed) {
   dial::util::Rng rng(seed);
@@ -126,13 +130,12 @@ int main(int argc, char** argv) {
     gemm_dim = 512;
     scan_rows = 50000;
   }
-  const size_t scan_dim = 64;
 
   dial::bench::PrintHeader(
       "LA micro: blocked GEMM + batched distance kernels vs scalar loops",
       "runtime substrate of Table 9 — not a paper table");
-  std::printf("gemm %zux%zux%zu, scan %zux%zu, threads=%zu (ms = best of %zu)\n\n",
-              gemm_dim, gemm_dim, gemm_dim, scan_rows, scan_dim,
+  std::printf("gemm %zux%zux%zu, scan %zux{32,64}, threads=%zu (ms = best of %zu)\n\n",
+              gemm_dim, gemm_dim, gemm_dim, scan_rows,
               static_cast<size_t>(*threads), static_cast<size_t>(*reps));
 
   dial::util::ThreadPool pool(static_cast<size_t>(*threads));
@@ -264,22 +267,42 @@ int main(int argc, char** argv) {
   }
 
   // ------------------------------------------------------- batch distances
-  {
+  // Dim 32 is the IBC and model width; dim 64 the wider embedding case.
+  // `per_row` calls the per-row kernel once per row, which the batch scan
+  // must match bit for bit; that parity gates the timing.
+  dial::util::TablePrinter scan_table({"scan", "naive ms", "per-row ms",
+                                       "batch ms", "expanded ms", "vs naive",
+                                       "vs per-row"});
+  for (const size_t scan_dim : kScanDims) {
     const Matrix base = Random(scan_rows, scan_dim, 3);
     const Matrix q = Random(1, scan_dim, 4);
-    std::vector<float> out(scan_rows), naive_out(scan_rows);
+    std::vector<float> out(scan_rows), naive_out(scan_rows), per_row(scan_rows);
     std::vector<float> base_sq(scan_rows);
     dial::la::kernels::NormsSquared(base.data(), scan_rows, scan_dim,
                                     base_sq.data());
     const float q_sq = dial::la::kernels::Dot(q.data(), q.data(), scan_dim);
+    const auto per_row_scan = [&] {
+      for (size_t i = 0; i < scan_rows; ++i) {
+        per_row[i] =
+            dial::la::kernels::SquaredDistance(q.data(), base.row(i), scan_dim);
+      }
+    };
+    const auto batch_scan = [&] {
+      dial::la::kernels::SquaredDistanceBatch(q.data(), base.data(), scan_rows,
+                                              scan_dim, out.data());
+    };
+    per_row_scan();
+    batch_scan();
+    DIAL_CHECK(std::memcmp(out.data(), per_row.data(),
+                           scan_rows * sizeof(float)) == 0)
+        << "SquaredDistanceBatch differs from the per-row kernel at dim "
+        << scan_dim;
 
     dial::util::WallTimer total;
     const double naive_ms =
         BestMs(n_reps, [&] { NaiveDistanceScan(q.data(), base, naive_out.data()); });
-    const double batch_ms = BestMs(n_reps, [&] {
-      dial::la::kernels::SquaredDistanceBatch(q.data(), base.data(), scan_rows,
-                                              scan_dim, out.data());
-    });
+    const double per_row_ms = BestMs(n_reps, per_row_scan);
+    const double batch_ms = BestMs(n_reps, batch_scan);
     // Expansion path = DotBatch + FromDots, the shape matmul_search runs
     // (with the dots coming from a GEMM there).
     std::vector<float> dots(scan_rows);
@@ -292,26 +315,32 @@ int main(int argc, char** argv) {
     });
 
     const double speedup_vs_naive = batch_ms > 0.0 ? naive_ms / batch_ms : 0.0;
-    dial::util::TablePrinter table(
-        {"scan", "naive ms", "batch ms", "expanded ms", "vs naive"});
-    table.AddRow({dial::util::StrFormat("%zux%zu", scan_rows, scan_dim),
-                  dial::util::TablePrinter::Num(naive_ms, 3),
-                  dial::util::TablePrinter::Num(batch_ms, 3),
-                  dial::util::TablePrinter::Num(expanded_ms, 3),
-                  dial::util::TablePrinter::Num(speedup_vs_naive, 2)});
-    std::printf("%s\n", table.ToString().c_str());
-
+    const double speedup_vs_per_row =
+        batch_ms > 0.0 ? per_row_ms / batch_ms : 0.0;
+    scan_table.AddRow({dial::util::StrFormat("%zux%zu", scan_rows, scan_dim),
+                       dial::util::TablePrinter::Num(naive_ms, 3),
+                       dial::util::TablePrinter::Num(per_row_ms, 3),
+                       dial::util::TablePrinter::Num(batch_ms, 3),
+                       dial::util::TablePrinter::Num(expanded_ms, 3),
+                       dial::util::TablePrinter::Num(speedup_vs_naive, 2),
+                       dial::util::TablePrinter::Num(speedup_vs_per_row, 2)});
     json.Add("la_micro",
              {{"op", "sqdist_batch"},
               {"scale", *scale},
               {"n", std::to_string(scan_rows)},
               {"dim", std::to_string(scan_dim)}},
              {{"naive_ms", naive_ms},
+              {"per_row_ms", per_row_ms},
               {"batch_ms", batch_ms},
               {"expanded_ms", expanded_ms},
-              {"speedup_vs_naive", speedup_vs_naive}},
+              {"speedup_vs_naive", speedup_vs_naive},
+              {"speedup_vs_per_row", speedup_vs_per_row}},
              total.Seconds() * 1000.0);
   }
+  std::printf("%s", scan_table.ToString().c_str());
+  std::printf(
+      "batch = SquaredDistanceBatch, checked bit-identical to per-row before "
+      "timing\n\n");
 
   std::printf(
       "Pooled GEMM is bit-identical to single-thread GEMM (checked above);\n"

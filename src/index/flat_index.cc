@@ -1,5 +1,6 @@
 #include "index/flat_index.h"
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
@@ -7,6 +8,13 @@
 #include "la/kernels.h"
 
 namespace dial::index {
+
+namespace {
+/// Queries per scan tile.
+constexpr size_t kQueryTile = 64;
+/// Stored rows per scan block.
+constexpr size_t kDbBlock = 256;
+}  // namespace
 
 float VectorIndex::Distance(const float* a, const float* b) const {
   switch (metric_) {
@@ -24,30 +32,29 @@ float VectorIndex::Distance(const float* a, const float* b) const {
   return 0.0f;
 }
 
-void VectorIndex::DistanceBatch(const float* query, const la::Matrix& base,
-                                float* out,
-                                const float* base_norms_sq) const {
-  const size_t n = base.rows();
+void VectorIndex::DistanceBatch(const float* query, const float* rows,
+                                size_t count, float* out,
+                                const float* norms_sq) const {
   switch (metric_) {
     case Metric::kL2:
-      la::kernels::SquaredDistanceBatch(query, base.data(), n, dim_, out);
+      la::kernels::SquaredDistanceBatch(query, rows, count, dim_, out);
       return;
     case Metric::kInnerProduct:
-      la::kernels::DotBatch(query, base.data(), n, dim_, out);
-      for (size_t i = 0; i < n; ++i) out[i] = -out[i];
+      la::kernels::DotBatch(query, rows, count, dim_, out);
+      for (size_t i = 0; i < count; ++i) out[i] = -out[i];
       return;
     case Metric::kCosine: {
       // Mirror the scalar path exactly: -dot / (|q| * |x|), 0 on zero norms.
       const float nq = la::Norm(query, dim_);
-      la::kernels::DotBatch(query, base.data(), n, dim_, out);
+      la::kernels::DotBatch(query, rows, count, dim_, out);
       std::vector<float> scratch;
-      if (base_norms_sq == nullptr) {
-        scratch.resize(n);
-        la::kernels::NormsSquared(base.data(), n, dim_, scratch.data());
-        base_norms_sq = scratch.data();
+      if (norms_sq == nullptr) {
+        scratch.resize(count);
+        la::kernels::NormsSquared(rows, count, dim_, scratch.data());
+        norms_sq = scratch.data();
       }
-      for (size_t i = 0; i < n; ++i) {
-        const float nb = std::sqrt(base_norms_sq[i]);
+      for (size_t i = 0; i < count; ++i) {
+        const float nb = std::sqrt(norms_sq[i]);
         out[i] = (nq == 0.0f || nb == 0.0f) ? 0.0f : -out[i] / (nq * nb);
       }
       return;
@@ -99,18 +106,60 @@ RefreshStats FlatIndex::Refresh(const la::Matrix& vectors,
 SearchBatch FlatIndex::Search(const la::Matrix& queries, size_t k) const {
   DIAL_CHECK_EQ(queries.cols(), dim_);
   SearchBatch results(queries.rows());
-  util::ParallelFor(pool_, queries.rows(), [&](size_t begin, size_t end) {
-    std::vector<float> dist(data_.rows());
-    for (size_t q = begin; q < end; ++q) {
-      DistanceBatch(queries.row(q), data_, dist.data(), norms_sq_.data());
-      TopK topk(k);
-      for (size_t i = 0; i < data_.rows(); ++i) {
-        if (RowLive(i)) topk.Push(IdOf(i), dist[i]);
+  if (queries.rows() == 0 || data_.rows() == 0 || k == 0) return results;
+  const size_t num_tiles = (queries.rows() + kQueryTile - 1) / kQueryTile;
+  util::ParallelFor(pool_, num_tiles, [&](size_t t_begin, size_t t_end) {
+    const size_t m = queries.rows();
+    const size_t n = data_.rows();
+    // Scratch is sized by the actual tile: a one-query search over a few
+    // rows holds a few floats, not a full tile.
+    std::vector<float> scores(std::min(kQueryTile, m) * std::min(kDbBlock, n));
+    std::vector<TopK> heaps;
+    heaps.reserve(std::min(kQueryTile, m));
+    for (size_t t = t_begin; t < t_end; ++t) {
+      const size_t q0 = t * kQueryTile;
+      const size_t tile_rows = std::min(kQueryTile, m - q0);
+      heaps.clear();
+      for (size_t i = 0; i < tile_rows; ++i) {
+        heaps.emplace_back(k);
+        heaps.back().Reserve(n);
       }
-      results[q] = topk.Take();
+      for (size_t row0 = 0; row0 < n; row0 += kDbBlock) {
+        const size_t rows = std::min(kDbBlock, n - row0);
+        ScoreBlock(queries.row(q0), tile_rows, row0, rows, scores.data());
+        for (size_t i = 0; i < tile_rows; ++i) {
+          PushBlock(heaps[i], scores.data() + i * rows, row0, rows);
+        }
+      }
+      for (size_t i = 0; i < tile_rows; ++i) results[q0 + i] = heaps[i].Take();
     }
   });
   return results;
+}
+
+void FlatIndex::ScoreBlock(const float* tile, size_t tile_rows, size_t row0,
+                           size_t rows, float* scores) const {
+  for (size_t i = 0; i < tile_rows; ++i) {
+    DistanceBatch(tile + i * dim_, data_.row(row0), rows, scores + i * rows,
+                  norms_sq_.data() + row0);
+  }
+}
+
+void FlatIndex::PushBlock(TopK& heap, const float* dist, size_t row0,
+                          size_t rows) const {
+  size_t j = 0;
+  for (; j < rows && !heap.full(); ++j) {
+    if (RowLive(row0 + j)) heap.Push(IdOf(row0 + j), dist[j]);
+  }
+  // Full heap: its worst kept distance lives in a local, and a row Push
+  // would reject (the same >= comparison) is skipped before its tombstone
+  // lookup. The bound moves only when a Push succeeds.
+  float bound = heap.Threshold();
+  for (; j < rows; ++j) {
+    if (dist[j] >= bound || !RowLive(row0 + j)) continue;
+    heap.Push(IdOf(row0 + j), dist[j]);
+    bound = heap.Threshold();
+  }
 }
 
 }  // namespace dial::index

@@ -228,7 +228,7 @@ SearchBatch LshIndex::Search(const la::Matrix& queries, size_t k) const {
         // Full scan through the batch kernels (bit-identical to the scalar
         // Distance loop, but vectorized).
         fallback_dist.resize(data_.rows());
-        DistanceBatch(query, data_, fallback_dist.data());
+        DistanceBatch(query, data_.data(), data_.rows(), fallback_dist.data());
         for (size_t row = 0; row < data_.rows(); ++row) {
           if (RowLive(row)) topk.Push(IdOf(row), fallback_dist[row]);
         }

@@ -7,12 +7,13 @@
 /// Brute-force top-k by blocked matrix multiplication — the "to index or not
 /// to index" alternative (Abuzaid et al., ICDE'19) that DITTO uses for its
 /// advanced blocking and that the paper contrasts with FAISS k-selection
-/// (Sec. 5.4). Storage, cached norms and the whole lifecycle are FlatIndex's;
-/// only Search differs. Scores for a tile of 64 queries against a block of
-/// 256 stored rows come from one cache-friendly GEMM, and the k-selection
-/// runs over the dense score tile. Exact: the ids match FlatIndex's. L2
-/// distances are evaluated as the expansion |q|² + |x|² − 2q·x over the
-/// GEMM dots, so they are not bit-identical to FlatIndex's.
+/// (Sec. 5.4). Storage, cached norms, the lifecycle and the tiled scan loop
+/// with its top-k selection are FlatIndex's; only the distance hook
+/// differs. Scores for a query tile against a block of stored rows come
+/// from one cache-friendly GEMM, then turn into metric distances. Exact: the
+/// ids match FlatIndex's. L2 distances are evaluated as the expansion
+/// |q|² + |x|² − 2q·x over the GEMM dots, so they are not bit-identical to
+/// FlatIndex's.
 
 namespace dial::index {
 
@@ -20,7 +21,9 @@ class MatmulSearchIndex final : public FlatIndex {
  public:
   MatmulSearchIndex(size_t dim, Metric metric) : FlatIndex(dim, metric) {}
 
-  SearchBatch Search(const la::Matrix& queries, size_t k) const override;
+ protected:
+  void ScoreBlock(const float* tile, size_t tile_rows, size_t row0,
+                  size_t rows, float* scores) const override;
 };
 
 }  // namespace dial::index

@@ -31,11 +31,21 @@ class TopK {
     std::push_heap(heap_.begin(), heap_.end(), ByDistance);
   }
 
-  /// Current worst kept distance (+inf while not full).
+  /// Current worst kept distance (+inf while not full). A k = 0 heap keeps
+  /// nothing, so its threshold is -inf.
   float Threshold() const {
-    return heap_.size() < k_ ? std::numeric_limits<float>::infinity()
-                             : heap_.front().distance;
+    if (heap_.size() < k_) return std::numeric_limits<float>::infinity();
+    if (k_ == 0) return -std::numeric_limits<float>::infinity();
+    return heap_.front().distance;
   }
+
+  /// True once the heap holds k neighbours; from then on Push rejects every
+  /// distance >= Threshold().
+  bool full() const { return heap_.size() >= k_; }
+
+  /// Pre-sizes the heap for a scan over at most `candidates` rows, so no
+  /// Push reallocates.
+  void Reserve(size_t candidates) { heap_.reserve(std::min(k_, candidates)); }
 
   /// Extracts results sorted by ascending distance; the heap is consumed
   /// (its capacity leaves with the return value — prefer Reset()+Sorted()

@@ -284,14 +284,15 @@ class VectorIndex {
   /// Pairwise distance under this index's metric.
   float Distance(const float* a, const float* b) const;
 
-  /// Fills out[i] = Distance(query, base.row(i)) for every row of `base`
-  /// via the la/kernels batch scans — bit-identical to calling Distance per
-  /// row, but vectorizable. The exact-scan workhorse behind FlatIndex search,
-  /// IVF centroid ranking, and the LSH exact fallback. `base_norms_sq`
-  /// (optional, cosine only): per-row |x|² if the caller caches them;
-  /// nullptr recomputes them on the fly.
-  void DistanceBatch(const float* query, const la::Matrix& base, float* out,
-                     const float* base_norms_sq = nullptr) const;
+  /// Fills out[i] = Distance(query, rows + i * dim) for the `count`
+  /// row-major rows at `rows`, via the la/kernels batch scans —
+  /// bit-identical to calling Distance per row, but vectorized. The
+  /// exact-scan workhorse behind FlatIndex's ScoreBlock (one call per query
+  /// and row block) and the LSH exact fallback (one call over every stored
+  /// row). `norms_sq` (optional, cosine only): those rows' |x|² if the
+  /// caller caches them; nullptr recomputes them on the fly.
+  void DistanceBatch(const float* query, const float* rows, size_t count,
+                     float* out, const float* norms_sq = nullptr) const;
 
   size_t dim_;
   Metric metric_;

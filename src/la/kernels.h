@@ -20,9 +20,12 @@
 ///    16), combined by the fixed tree ((s0+s1)+(s2+s3)) + ((s4+s5)+(s6+s7))
 ///    + ..., with a sequential scalar tail for n % 16 — wide enough that a
 ///    512-bit register is one accumulator and every narrower tier keeps the
-///    same per-lane chains, so all tiers are bit-identical. The SAME routine
-///    backs the scalar and batch entry points, so a batched scan is
-///    bit-identical to calling the scalar kernel per row.
+///    same per-lane chains, so all tiers are bit-identical. The batch entry
+///    points apply the same arithmetic per row: DotBatch and NormsSquared
+///    call the per-row routine, and on the AVX-512 tier SquaredDistanceBatch
+///    builds 16 rows' lane chains, combines all 16 at once by the same tree
+///    (lane-parallel, pair for pair), then adds each row's tail in order. So
+///    a batched scan is bit-identical to calling the scalar kernel per row.
 ///  - GEMM accumulates each output element over k in a fixed order: k-blocks
 ///    ascending, 4 rows of b combined per step. The order never depends on
 ///    the thread count (threads split output rows, never the k reduction) or
@@ -79,7 +82,8 @@ float SquaredDistance(const float* a, const float* b, size_t n);
 void DotBatch(const float* q, const float* base, size_t n, size_t d,
               float* out);
 
-/// out[i] = SquaredDistance(q, base + i*d) for i in [0, n).
+/// out[i] = SquaredDistance(q, base + i*d) for i in [0, n). Bit-identical to
+/// the scalar kernel per row; the AVX-512 tier reduces 16 rows at a time.
 void SquaredDistanceBatch(const float* q, const float* base, size_t n,
                           size_t d, float* out);
 

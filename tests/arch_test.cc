@@ -96,6 +96,7 @@ struct KernelOutputs {
   float sqdist = 0.0f;
   std::vector<float> dot_batch;
   std::vector<float> sqdist_batch;
+  std::vector<float> sqdist_groups;
   std::vector<float> norms;
   std::vector<float> from_dots;
   std::vector<float> gemm_nn;
@@ -113,9 +114,13 @@ struct KernelInputs {
   static constexpr size_t kN = 37, kK = 83;
   static constexpr size_t kRows = 19, kDim = 53;
   static constexpr size_t kSub = 11, kKsub = 14, kCodes = 29;
+  // Three full 16-row groups and no dim tail: the AVX-512 batch scan runs
+  // only its grouped reduction.
+  static constexpr size_t kGroupRows = 48, kGroupDim = 32;
 
   size_t m;
   std::vector<float> a, b_nn, b_nt, a_tn, q, base, dots, base_sq, table;
+  std::vector<float> group_q, group_base;
   std::vector<uint8_t> codes;
 
   KernelInputs(uint64_t seed, size_t gemm_rows) : m(gemm_rows) {
@@ -133,6 +138,8 @@ struct KernelInputs {
     for (uint8_t& c : codes) {
       c = static_cast<uint8_t>(rng.UniformInt(kKsub));
     }
+    group_q = RandomVec(rng, kGroupDim);
+    group_base = RandomVec(rng, kGroupRows * kGroupDim);
   }
 };
 
@@ -147,6 +154,10 @@ KernelOutputs ComputeAll(const KernelInputs& in, util::ThreadPool* pool) {
   out.sqdist_batch.resize(I::kRows);
   kernels::SquaredDistanceBatch(in.q.data(), in.base.data(), I::kRows, I::kDim,
                                 out.sqdist_batch.data());
+  out.sqdist_groups.resize(I::kGroupRows);
+  kernels::SquaredDistanceBatch(in.group_q.data(), in.group_base.data(),
+                                I::kGroupRows, I::kGroupDim,
+                                out.sqdist_groups.data());
   out.norms.resize(I::kRows);
   kernels::NormsSquared(in.base.data(), I::kRows, I::kDim, out.norms.data());
   out.from_dots.resize(I::kRows);
@@ -184,6 +195,7 @@ void ExpectBitIdentical(const KernelOutputs& want, const KernelOutputs& got,
   };
   vec_eq(want.dot_batch, got.dot_batch, "dot_batch");
   vec_eq(want.sqdist_batch, got.sqdist_batch, "sqdist_batch");
+  vec_eq(want.sqdist_groups, got.sqdist_groups, "sqdist_groups");
   vec_eq(want.norms, got.norms, "norms");
   vec_eq(want.from_dots, got.from_dots, "from_dots");
   vec_eq(want.gemm_nn, got.gemm_nn, "gemm_nn");

@@ -265,7 +265,9 @@ TEST(HnswIndex, RemovingEntryPointRepairsAnchor) {
       for (const Neighbor& nb : neighbors) {
         EXPECT_FALSE(index.IsRemoved(nb.id)) << "tombstoned id surfaced";
       }
-      if (live == 0) EXPECT_TRUE(neighbors.empty());
+      if (live == 0) {
+        EXPECT_TRUE(neighbors.empty());
+      }
     }
   }
   EXPECT_EQ(index.entry_point(), -1);

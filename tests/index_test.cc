@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
-#include <set>
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <set>
+#include <string>
 
 #include "index/flat_index.h"
 #include "index/ivf_index.h"
@@ -19,11 +23,12 @@ la::Matrix RandomVectors(size_t n, size_t d, uint64_t seed) {
   return m;
 }
 
-/// Brute-force reference kNN.
+/// Brute-force reference kNN over the rows whose id is not in `dead`.
 std::vector<Neighbor> Reference(const la::Matrix& data, const float* query, size_t k,
-                                Metric metric) {
+                                Metric metric, const std::set<int>& dead = {}) {
   std::vector<Neighbor> all;
   for (size_t i = 0; i < data.rows(); ++i) {
+    if (dead.count(static_cast<int>(i)) != 0) continue;
     float dist = 0;
     switch (metric) {
       case Metric::kL2:
@@ -43,8 +48,9 @@ std::vector<Neighbor> Reference(const la::Matrix& data, const float* query, size
     }
     all.push_back({static_cast<int>(i), dist});
   }
-  std::sort(all.begin(), all.end());
-  all.resize(std::min(k, all.size()));
+  const size_t kept = std::min(k, all.size());
+  std::partial_sort(all.begin(), all.begin() + kept, all.end());
+  all.resize(kept);
   return all;
 }
 
@@ -62,8 +68,60 @@ TEST(TopK, KeepsSmallest) {
 
 TEST(TopK, ZeroK) {
   TopK topk(0);
+  // A heap that keeps nothing is full from the start, and its threshold is
+  // defined: -inf, below every distance.
+  EXPECT_TRUE(topk.full());
+  EXPECT_EQ(topk.Threshold(), -std::numeric_limits<float>::infinity());
   topk.Push(1, 1.0f);
+  topk.Push(2, std::numeric_limits<float>::quiet_NaN());
   EXPECT_TRUE(topk.Take().empty());
+}
+
+TEST(TopK, InfinityIsKeptWhileNotFull) {
+  // Threshold() reads +inf until the heap holds k, so a filter comparing
+  // against it there would drop a +inf distance that Push keeps.
+  const float inf = std::numeric_limits<float>::infinity();
+  TopK topk(2);
+  topk.Push(1, inf);
+  EXPECT_FALSE(topk.full());
+  topk.Push(2, 1.0f);
+  EXPECT_TRUE(topk.full());
+  EXPECT_EQ(topk.Threshold(), inf);
+  const auto out = topk.Take();
+  ASSERT_EQ(out.size(), 2u);
+  EXPECT_EQ(out[0].id, 2);
+  EXPECT_EQ(out[1].id, 1);
+  EXPECT_EQ(out[1].distance, inf);
+}
+
+TEST(TopK, TieWithWorstKeptIsRejected) {
+  TopK topk(2);
+  topk.Push(1, 1.0f);
+  topk.Push(2, 3.0f);
+  topk.Push(3, 3.0f);
+  EXPECT_EQ(topk.Threshold(), 3.0f);
+  const auto out = topk.Take();
+  ASSERT_EQ(out.size(), 2u);
+  EXPECT_EQ(out[0].id, 1);
+  EXPECT_EQ(out[1].id, 2);
+}
+
+TEST(TopK, NanIsNeverRejected) {
+  // NaN >= x is false, so Push keeps a NaN while filling and lets it evict
+  // the worst kept neighbour once full.
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  TopK filling(2);
+  filling.Push(1, nan);
+  EXPECT_EQ(filling.Take().size(), 1u);
+
+  TopK full(2);
+  full.Push(1, 1.0f);
+  full.Push(2, 2.0f);
+  full.Push(3, nan);
+  const auto out = full.Take();
+  ASSERT_EQ(out.size(), 2u);
+  const std::set<int> ids = {out[0].id, out[1].id};
+  EXPECT_EQ(ids, (std::set<int>{1, 3}));
 }
 
 TEST(TopK, FewerThanK) {
@@ -87,22 +145,60 @@ TEST(TopK, ThresholdTracksWorst) {
 
 class FlatIndexMetrics : public testing::TestWithParam<Metric> {};
 
-TEST_P(FlatIndexMetrics, MatchesBruteForce) {
-  const Metric metric = GetParam();
-  const la::Matrix data = RandomVectors(60, 8, 1);
-  const la::Matrix queries = RandomVectors(10, 8, 2);
-  FlatIndex index(8, metric);
-  index.Add(data);
-  const SearchBatch results = index.Search(queries, 5);
-  ASSERT_EQ(results.size(), 10u);
+/// Asserts ids and distance bits equal the brute-force reference.
+void ExpectMatchesReference(const SearchBatch& results, const la::Matrix& data,
+                            const la::Matrix& queries, size_t k, Metric metric,
+                            const std::set<int>& dead, const std::string& shape) {
+  ASSERT_EQ(results.size(), queries.rows()) << shape;
   for (size_t q = 0; q < queries.rows(); ++q) {
-    const auto expected = Reference(data, queries.row(q), 5, metric);
-    ASSERT_EQ(results[q].size(), expected.size());
+    const auto expected = Reference(data, queries.row(q), k, metric, dead);
+    ASSERT_EQ(results[q].size(), expected.size()) << shape << " query " << q;
     for (size_t i = 0; i < expected.size(); ++i) {
-      EXPECT_EQ(results[q][i].id, expected[i].id) << "query " << q << " rank " << i;
-      EXPECT_NEAR(results[q][i].distance, expected[i].distance, 1e-4f);
+      EXPECT_EQ(results[q][i].id, expected[i].id)
+          << shape << " query " << q << " rank " << i;
+      EXPECT_EQ(results[q][i].distance, expected[i].distance)
+          << shape << " query " << q << " rank " << i;
     }
   }
+}
+
+TEST_P(FlatIndexMetrics, MatchesBruteForce) {
+  // Stored rows around the 16-row kernel groups and the 256-row scan
+  // blocks, queries around the 64-query tiles, dims with and without a
+  // 16-lane chunk and a dim tail.
+  const Metric metric = GetParam();
+  for (const size_t n : {1u, 15u, 16u, 17u, 255u, 256u, 257u, 600u}) {
+    for (const size_t nq : {1u, 63u, 64u, 65u}) {
+      for (const size_t d : {8u, 32u, 33u}) {
+        const la::Matrix data = RandomVectors(n, d, 1 + n * 3 + d);
+        const la::Matrix queries = RandomVectors(nq, d, 2 + nq * 5 + d);
+        FlatIndex index(d, metric);
+        index.Add(data);
+        ExpectMatchesReference(index.Search(queries, 5), data, queries, 5,
+                               metric, {},
+                               "n=" + std::to_string(n) + " q=" +
+                                   std::to_string(nq) + " d=" + std::to_string(d));
+      }
+    }
+  }
+}
+
+TEST_P(FlatIndexMetrics, MatchesBruteForceWithTombstonesAndAfterCompact) {
+  const Metric metric = GetParam();
+  const la::Matrix data = RandomVectors(600, 33, 41);
+  const la::Matrix queries = RandomVectors(65, 33, 43);
+  FlatIndex index(33, metric);
+  index.Add(data);
+  // Every third row plus a run across the first block boundary.
+  std::set<int> dead;
+  for (int id = 1; id < 600; id += 3) dead.insert(id);
+  for (int id = 250; id < 270; ++id) dead.insert(id);
+  for (const int id : dead) index.Remove(id);
+  ExpectMatchesReference(index.Search(queries, 7), data, queries, 7, metric,
+                         dead, "tombstones");
+  index.Compact();
+  ExpectMatchesReference(index.Search(queries, 7), data, queries, 7, metric,
+                         dead, "compacted");
 }
 
 INSTANTIATE_TEST_SUITE_P(Metrics, FlatIndexMetrics,
@@ -131,6 +227,39 @@ TEST(FlatIndex, SelfRetrieval) {
   const auto results = index.Search(data, 1);
   for (size_t i = 0; i < data.rows(); ++i) {
     EXPECT_EQ(results[i][0].id, static_cast<int>(i));
+  }
+}
+
+TEST(FlatIndex, NonFiniteDistancesMatchPushingEveryRow) {
+  // Rows at +inf or NaN distance pass the scan's threshold filter exactly as
+  // they pass TopK::Push: the result equals pushing every row in order, for
+  // heaps that fill and heaps that never do.
+  la::Matrix data = RandomVectors(300, 16, 51);
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  for (const size_t row : {3u, 40u, 257u}) data(row, 5) = inf;
+  for (const size_t row : {7u, 120u, 256u, 299u}) data(row, 2) = nan;
+  const la::Matrix queries = RandomVectors(9, 16, 53);
+  FlatIndex index(16, Metric::kL2);
+  index.Add(data);
+  for (const size_t k : {1u, 3u, 10u, 400u}) {
+    const SearchBatch results = index.Search(queries, k);
+    for (size_t q = 0; q < queries.rows(); ++q) {
+      TopK reference(k);
+      for (size_t i = 0; i < data.rows(); ++i) {
+        reference.Push(static_cast<int>(i),
+                       la::SquaredDistance(queries.row(q), data.row(i), 16));
+      }
+      const auto expected = reference.Take();
+      ASSERT_EQ(results[q].size(), expected.size()) << "k=" << k;
+      for (size_t i = 0; i < expected.size(); ++i) {
+        EXPECT_EQ(results[q][i].id, expected[i].id) << "k=" << k << " rank " << i;
+        EXPECT_EQ(std::memcmp(&results[q][i].distance, &expected[i].distance,
+                              sizeof(float)),
+                  0)
+            << "k=" << k << " rank " << i;
+      }
+    }
   }
 }
 

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <tuple>
 #include <vector>
 
@@ -203,17 +206,49 @@ TEST(RowKernels, DotAndSquaredDistanceMatchNaive) {
 }
 
 TEST(RowKernels, BatchEntryPointsAreBitIdenticalToScalar) {
-  const size_t n = 37, d = 19;  // both with unroll tails
-  const Matrix base = Random(n, d, 79);
-  const Matrix q = Random(1, d, 83);
-  std::vector<float> dots(n), dists(n), norms(n);
-  kernels::DotBatch(q.data(), base.data(), n, d, dots.data());
-  kernels::SquaredDistanceBatch(q.data(), base.data(), n, d, dists.data());
-  kernels::NormsSquared(base.data(), n, d, norms.data());
-  for (size_t i = 0; i < n; ++i) {
-    EXPECT_EQ(dots[i], kernels::Dot(q.data(), base.row(i), d));
-    EXPECT_EQ(dists[i], kernels::SquaredDistance(q.data(), base.row(i), d));
-    EXPECT_EQ(norms[i], kernels::Dot(base.row(i), base.row(i), d));
+  // Row counts around the AVX-512 16-row groups and dims around the 16-lane
+  // chunks, so every mix of full groups, leftover rows, d < 16 and dim tails
+  // runs. Planted ±0, subnormals, ±inf and NaN must come out with the same
+  // bits too. The planted NaN is the one inf - inf makes at run time, the
+  // same one inf - inf and 0 * inf make inside the kernels, so a result
+  // never holds two NaN payloads: which of two payloads an add returns
+  // depends on the operand order the compiler picks, which can differ
+  // between two inlined copies of one routine.
+  const float inf = std::numeric_limits<float>::infinity();
+  volatile float runtime_inf = inf;
+  const float nan = runtime_inf - runtime_inf;
+  const float specials[] = {0.0f, -0.0f, 1e-40f, -3e-39f, inf, -inf, nan};
+  for (const size_t n : {0u, 1u, 15u, 16u, 17u, 32u, 33u, 257u}) {
+    for (const size_t d : {1u, 15u, 16u, 17u, 32u, 33u, 64u}) {
+      Matrix base = Random(std::max<size_t>(n, 1), d, 79 + n * 7 + d);
+      Matrix q = Random(1, d, 83 + d);
+      util::Rng rng(n * 131 + d);
+      // Every third row carries specials; the rest stay finite.
+      for (size_t t = 0; t < n * d / 8; ++t) {
+        const size_t row = 3 * rng.UniformInt((n + 2) / 3);
+        base(row, rng.UniformInt(d)) = specials[rng.UniformInt(7)];
+      }
+      q.data()[rng.UniformInt(d)] = specials[rng.UniformInt(7)];
+      std::vector<float> dots(n), dists(n), norms(n);
+      std::vector<float> want_dots(n), want_dists(n), want_norms(n);
+      kernels::DotBatch(q.data(), base.data(), n, d, dots.data());
+      kernels::SquaredDistanceBatch(q.data(), base.data(), n, d, dists.data());
+      kernels::NormsSquared(base.data(), n, d, norms.data());
+      for (size_t i = 0; i < n; ++i) {
+        want_dots[i] = kernels::Dot(q.data(), base.row(i), d);
+        want_dists[i] = kernels::SquaredDistance(q.data(), base.row(i), d);
+        want_norms[i] = kernels::Dot(base.row(i), base.row(i), d);
+      }
+      // memcmp, not float ==: NaN payloads must match too. (An empty
+      // vector's data() may be null, which memcmp must not receive.)
+      const auto same_bits = [n](const std::vector<float>& a,
+                                 const std::vector<float>& b) {
+        return n == 0 || std::memcmp(a.data(), b.data(), n * sizeof(float)) == 0;
+      };
+      EXPECT_TRUE(same_bits(dots, want_dots)) << "dot n=" << n << " d=" << d;
+      EXPECT_TRUE(same_bits(dists, want_dists)) << "sqdist n=" << n << " d=" << d;
+      EXPECT_TRUE(same_bits(norms, want_norms)) << "norms n=" << n << " d=" << d;
+    }
   }
 }
 

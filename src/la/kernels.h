@@ -39,6 +39,9 @@
 ///  - Reductions ACROSS many rows (k-means inertia, k-means++ totals) are
 ///    the caller's job and should accumulate in double; per-row / per-pair
 ///    quantities stay float32.
+/// Changing any accumulation order above changes the MLM-pretrained TPLM,
+/// and therefore tests/golden/al_golden.txt: regenerate that file
+/// deliberately (DIAL_REGEN_GOLDEN=1) and explain the diff.
 ///
 /// Threading: the Gemm* entry points take an optional util::ThreadPool and
 /// fan out over contiguous output-row blocks (deterministic partials as

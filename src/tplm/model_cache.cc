@@ -36,7 +36,8 @@ std::string ModelCache::KeyPath(const TplmModel& model, const PretrainOptions& o
                                 uint64_t corpus_tag) const {
   // Weights depend on the transformer shape, the MLM sequence length, the
   // pretraining options and the corpus — not on inference-time knobs like
-  // the single-mode pooling mix, so those stay out of the key.
+  // the single-mode pooling mix, so those stay out of the key. They also
+  // depend on the build's kernels, which the key leaves out (model_cache.h).
   uint64_t key = model.config().transformer.Fingerprint();
   key = util::HashCombine(key, model.config().max_single_len);
   key = util::HashCombine(key, options.Fingerprint());

@@ -8,10 +8,15 @@
 #include "util/status.h"
 
 /// \file
-/// Disk cache for pretrained TPLM weights. Pretraining is deterministic given
-/// (config, corpus, options, seed), so the cache key is a fingerprint of all
-/// three; benches and tests that share a dataset reuse one pretrained model
-/// instead of re-running MLM.
+/// Disk cache for pretrained TPLM weights, so benches and tests that share a
+/// dataset reuse one pretrained model instead of re-running MLM. The key
+/// fingerprints the transformer shape, `max_single_len`, the pretrain
+/// options (seed included) and the corpus. The weights also depend on the
+/// build: the la/kernels.h accumulation order decides their bits, and the key
+/// does not hash the code. The default directory and the tests' TempDir()
+/// caches outlive builds, so a binary with a warm cache silently loads
+/// weights that another build pretrained. Whatever must pin this build's
+/// pretraining (al_golden_test's golden-file case) runs uncached.
 
 namespace dial::tplm {
 

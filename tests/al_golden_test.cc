@@ -11,16 +11,21 @@
 #include "core/experiment.h"
 #include "status_matchers.h"
 
-/// End-to-end determinism pins for the AL loop. Two layers:
+/// End-to-end determinism pins for the AL loop. Three layers:
 ///
 ///  1. A golden file (tests/golden/al_golden.txt) pins the *exact* outputs
 ///     of a tiny fixed-seed 2-round run — the full labeled set in insertion
 ///     order (seed sample + every selected pair) and the per-round candidate
 ///     counts / recall / F1 — for the flat (exact) and ivfpq (quantized,
-///     warm-refresh) backends. Any unintended behaviour change anywhere in
-///     the embed → train → index → refresh → select chain shows up here as
-///     a diff, not as a silent metric drift. Regenerate deliberately with
-///     DIAL_REGEN_GOLDEN=1 ./al_golden_test.
+///     warm-refresh) backends. This case pretrains its TPLM uncached (a
+///     cache entry may hold another build's weights), so MLM pretraining
+///     and the la/kernels.h accumulation contract are inside the pin: any
+///     unintended behaviour change anywhere in the pretrain → embed → train
+///     → index → refresh → select chain shows up here as a diff, not as a
+///     silent metric drift. Regenerate deliberately with
+///     DIAL_REGEN_GOLDEN=1 ./al_golden_test. The file was checked
+///     byte-identical under the scalar, AVX2 and AVX-512 tiers and in Debug
+///     and RelWithDebInfo builds, all on x86-64; aarch64/NEON is unverified.
 ///
 ///  2. Checkpoint-resume equivalence: interrupting the same run after round
 ///     0 and resuming must reproduce the straight-through run exactly —
@@ -28,19 +33,27 @@
 ///     (on exercises the IbcIndexCache warm-state serialization).
 ///
 ///  3. Threaded ≡ inline: the flat configuration run with a loop-owned
-///     2-worker pool must print the same snapshot as the inline run. Both
-///     runs happen in this process, so this pin holds on every host, while
-///     the golden file's floats are tied to the platform that wrote it.
+///     2-worker pool must print the same snapshot as the inline run.
+///
+/// Layers 2 and 3 (and the int8 parity gate) each compare two runs made in
+/// this process, so where the pretrained weights came from cannot make them
+/// pass; they share one cache-backed experiment to keep pretraining to one
+/// run per test process.
 
 namespace dial::core {
 namespace {
 
+/// The smoke-scale walmart_amazon experiment; `cache_dir` "" pretrains
+/// without the on-disk model cache.
+Experiment PrepareGoldenExperiment(const std::string& cache_dir) {
+  ExperimentConfig config = DefaultExperimentConfig(data::Scale::kSmoke);
+  config.cache_dir = cache_dir;
+  return PrepareExperiment("walmart_amazon", config);
+}
+
 Experiment& SharedExperiment() {
-  static Experiment* exp = [] {
-    ExperimentConfig config = DefaultExperimentConfig(data::Scale::kSmoke);
-    config.cache_dir = testing::TempDir() + "/dial_golden_cache";
-    return new Experiment(PrepareExperiment("walmart_amazon", config));
-  }();
+  static Experiment* exp = new Experiment(
+      PrepareGoldenExperiment(testing::TempDir() + "/dial_golden_cache"));
   return *exp;
 }
 
@@ -57,9 +70,9 @@ std::string TempPath(const std::string& name) {
 }
 
 /// Runs the loop with checkpointing and returns (result, final checkpoint).
-std::pair<AlResult, AlCheckpoint> RunWithCheckpoint(const AlConfig& config,
-                                                    const std::string& path) {
-  Experiment& exp = SharedExperiment();
+std::pair<AlResult, AlCheckpoint> RunWithCheckpoint(
+    const AlConfig& config, const std::string& path,
+    Experiment& exp = SharedExperiment()) {
   ActiveLearningLoop loop(&exp.bundle, &exp.vocab, exp.pretrained.get(), config);
   loop.SetCheckpointPath(path);
   AlResult result = loop.Run();
@@ -102,17 +115,20 @@ std::string Snapshot(const std::string& name, const AlResult& result,
 std::string GoldenPath() { return std::string(DIAL_GOLDEN_DIR) + "/al_golden.txt"; }
 
 TEST(AlGolden, TwoRoundRunMatchesGoldenFile) {
+  // Uncached, so the pin covers this build's MLM pretraining too.
+  Experiment exp = PrepareGoldenExperiment(/*cache_dir=*/"");
+  ASSERT_FALSE(exp.pretrain_cache_hit);
   std::string snapshot;
   {
     const auto [result, ckpt] = RunWithCheckpoint(
         GoldenConfig(IndexBackend::kFlat, /*refresh=*/true),
-        TempPath("golden_flat.ckpt"));
+        TempPath("golden_flat.ckpt"), exp);
     snapshot += Snapshot("flat_refresh", result, ckpt);
   }
   {
     const auto [result, ckpt] = RunWithCheckpoint(
         GoldenConfig(IndexBackend::kIvfPq, /*refresh=*/true),
-        TempPath("golden_ivfpq.ckpt"));
+        TempPath("golden_ivfpq.ckpt"), exp);
     // Round 2 must actually have taken the warm path for every member.
     ASSERT_EQ(result.rounds.size(), 2u);
     EXPECT_EQ(result.rounds[0].index_warm_members, 0u);

@@ -63,8 +63,9 @@ void NaiveDistanceScan(const float* q, const Matrix& base, float* out) {
   }
 }
 
-/// Distance-scan widths: the IBC and model width, and a wider embedding.
-constexpr size_t kScanDims[] = {32, 64};
+/// Distance-scan widths: the PQ subspace width (the AVX-512 tier's gathered
+/// d < 16 path), the IBC and model width, and a wider embedding.
+constexpr size_t kScanDims[] = {8, 32, 64};
 
 Matrix Random(size_t rows, size_t cols, uint64_t seed) {
   dial::util::Rng rng(seed);
@@ -134,7 +135,7 @@ int main(int argc, char** argv) {
   dial::bench::PrintHeader(
       "LA micro: blocked GEMM + batched distance kernels vs scalar loops",
       "runtime substrate of Table 9 — not a paper table");
-  std::printf("gemm %zux%zux%zu, scan %zux{32,64}, threads=%zu (ms = best of %zu)\n\n",
+  std::printf("gemm %zux%zux%zu, scan %zux{8,32,64}, threads=%zu (ms = best of %zu)\n\n",
               gemm_dim, gemm_dim, gemm_dim, scan_rows,
               static_cast<size_t>(*threads), static_cast<size_t>(*reps));
 
@@ -267,7 +268,8 @@ int main(int argc, char** argv) {
   }
 
   // ------------------------------------------------------- batch distances
-  // Dim 32 is the IBC and model width; dim 64 the wider embedding case.
+  // Dim 8 is the PQ subspace width, dim 32 the IBC and model width, dim 64
+  // the wider embedding case.
   // `per_row` calls the per-row kernel once per row, which the batch scan
   // must match bit for bit; that parity gates the timing.
   dial::util::TablePrinter scan_table({"scan", "naive ms", "per-row ms",

@@ -128,7 +128,8 @@ SearchBatch FlatIndex::Search(const la::Matrix& queries, size_t k) const {
         const size_t rows = std::min(kDbBlock, n - row0);
         ScoreBlock(queries.row(q0), tile_rows, row0, rows, scores.data());
         for (size_t i = 0; i < tile_rows; ++i) {
-          PushBlock(heaps[i], scores.data() + i * rows, row0, rows);
+          PushRows(heaps[i], scores.data() + i * rows, rows,
+                   [row0](size_t j) { return row0 + j; });
         }
       }
       for (size_t i = 0; i < tile_rows; ++i) results[q0 + i] = heaps[i].Take();
@@ -142,23 +143,6 @@ void FlatIndex::ScoreBlock(const float* tile, size_t tile_rows, size_t row0,
   for (size_t i = 0; i < tile_rows; ++i) {
     DistanceBatch(tile + i * dim_, data_.row(row0), rows, scores + i * rows,
                   norms_sq_.data() + row0);
-  }
-}
-
-void FlatIndex::PushBlock(TopK& heap, const float* dist, size_t row0,
-                          size_t rows) const {
-  size_t j = 0;
-  for (; j < rows && !heap.full(); ++j) {
-    if (RowLive(row0 + j)) heap.Push(IdOf(row0 + j), dist[j]);
-  }
-  // Full heap: its worst kept distance lives in a local, and a row Push
-  // would reject (the same >= comparison) is skipped before its tombstone
-  // lookup. The bound moves only when a Push succeeds.
-  float bound = heap.Threshold();
-  for (; j < rows; ++j) {
-    if (dist[j] >= bound || !RowLive(row0 + j)) continue;
-    heap.Push(IdOf(row0 + j), dist[j]);
-    bound = heap.Threshold();
   }
 }
 

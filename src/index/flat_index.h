@@ -19,8 +19,6 @@
 
 namespace dial::index {
 
-class TopK;
-
 class FlatIndex : public VectorIndex {
  public:
   /// `pool` (optional, unowned) parallelizes queries across threads — the
@@ -59,11 +57,6 @@ class FlatIndex : public VectorIndex {
   /// instead of recomputing them per query (MatmulSearchIndex's L2 and
   /// cosine scans read them too).
   std::vector<float> norms_sq_;
-
- private:
-  /// Offers stored rows row0 .. row0 + rows, at distances `dist`, to `heap`.
-  void PushBlock(TopK& heap, const float* dist, size_t row0,
-                 size_t rows) const;
 };
 
 }  // namespace dial::index

@@ -17,13 +17,16 @@ IvfPqIndex::IvfPqIndex(size_t dim, Metric metric, Options options)
   DIAL_CHECK_GT(options_.nlist, 0u);
 }
 
-size_t IvfPqIndex::NearestCell(const float* x) const {
+size_t IvfPqIndex::NearestCell(const float* x, float* dist) const {
+  la::kernels::SquaredDistanceBatch(x, centroids_.data(), centroids_.rows(),
+                                    dim_, dist);
+  // Not kernels::ArgMin: this scan starts from +inf, so a NaN first
+  // distance loses to the first finite one.
   size_t best = 0;
   float best_d = std::numeric_limits<float>::infinity();
   for (size_t c = 0; c < centroids_.rows(); ++c) {
-    const float d = la::SquaredDistance(x, centroids_.row(c), dim_);
-    if (d < best_d) {
-      best_d = d;
+    if (dist[c] < best_d) {
+      best_d = dist[c];
       best = c;
     }
   }
@@ -35,8 +38,9 @@ void IvfPqIndex::EncodeInto(const la::Matrix& vectors, size_t base_id) {
   // with Refresh (which gets its cells from the warm Lloyd assignment).
   std::vector<int> cells(vectors.rows());
   util::ParallelFor(pool_, vectors.rows(), [&](size_t begin, size_t end) {
+    std::vector<float> dist(centroids_.rows());
     for (size_t i = begin; i < end; ++i) {
-      cells[i] = static_cast<int>(NearestCell(vectors.row(i)));
+      cells[i] = static_cast<int>(NearestCell(vectors.row(i), dist.data()));
     }
   });
   EncodeWithCells(vectors, base_id, cells);
@@ -98,9 +102,10 @@ void IvfPqIndex::Add(const la::Matrix& vectors) {
     // quantization error against the frozen codebooks.
     const size_t sample = std::min(vectors.rows(), kDriftSampleRows);
     la::Matrix residuals(sample, dim_);
+    std::vector<float> dist(centroids_.rows());
     for (size_t i = 0; i < sample; ++i) {
       const float* x = vectors.row(i);
-      const float* centroid = centroids_.row(NearestCell(x));
+      const float* centroid = centroids_.row(NearestCell(x, dist.data()));
       float* out = residuals.row(i);
       for (size_t d = 0; d < dim_; ++d) out[d] = x[d] - centroid[d];
     }
@@ -322,9 +327,8 @@ SearchBatch IvfPqIndex::Search(const la::Matrix& queries, size_t k) const {
         const std::vector<uint8_t>& codes = list_codes_[cell.id];
         if (adc.size() < ids.size()) adc.resize(ids.size());
         pq_.AdcDistanceBatch(table, codes.data(), ids.size(), adc.data());
-        for (size_t i = 0; i < ids.size(); ++i) {
-          if (RowLive(ids[i])) topk.Push(IdOf(ids[i]), adc[i]);
-        }
+        PushRows(topk, adc.data(), ids.size(),
+                 [&ids](size_t i) { return static_cast<size_t>(ids[i]); });
       }
       const std::vector<Neighbor>& sorted = topk.Sorted();
       results[q].assign(sorted.begin(), sorted.end());

@@ -77,7 +77,9 @@ class IvfPqIndex : public VectorIndex {
   void CompactRows(const std::vector<int>& keep) override;
 
  private:
-  size_t NearestCell(const float* x) const;
+  /// Cell whose centroid is nearest to `x`; `dist` is scratch for one
+  /// distance per centroid.
+  size_t NearestCell(const float* x, float* dist) const;
   /// Reconstructs every stored vector, re-converges the coarse centroids
   /// with warm Lloyd steps, and re-encodes — see Options::rebalance_threshold.
   void Rebalance();

@@ -229,9 +229,8 @@ SearchBatch LshIndex::Search(const la::Matrix& queries, size_t k) const {
         // Distance loop, but vectorized).
         fallback_dist.resize(data_.rows());
         DistanceBatch(query, data_.data(), data_.rows(), fallback_dist.data());
-        for (size_t row = 0; row < data_.rows(); ++row) {
-          if (RowLive(row)) topk.Push(IdOf(row), fallback_dist[row]);
-        }
+        PushRows(topk, fallback_dist.data(), data_.rows(),
+                 [](size_t row) { return row; });
       }
       results[q] = topk.Take();
     }

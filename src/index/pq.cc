@@ -42,16 +42,17 @@ void ProductQuantizer::Train(const la::Matrix& data) {
     KMeansResult km = KMeans(slice, ksub_, options_.train_iterations, rng, pool_);
     codebooks_.push_back(std::move(km.centroids));
   }
-  // Precompute centroid-to-centroid tables for symmetric distances.
+  BuildSdcTables();
+}
+
+void ProductQuantizer::BuildSdcTables() {
   sdc_tables_.clear();
-  sdc_tables_.reserve(m);
-  for (size_t sub = 0; sub < m; ++sub) {
+  sdc_tables_.reserve(codebooks_.size());
+  for (const la::Matrix& book : codebooks_) {
     la::Matrix table(ksub_, ksub_);
     for (size_t a = 0; a < ksub_; ++a) {
-      for (size_t b = 0; b < ksub_; ++b) {
-        table(a, b) = la::SquaredDistance(codebooks_[sub].row(a),
-                                          codebooks_[sub].row(b), dsub_);
-      }
+      la::kernels::SquaredDistanceBatch(book.row(a), book.data(), ksub_, dsub_,
+                                        table.row(a));
     }
     sdc_tables_.push_back(std::move(table));
   }
@@ -65,13 +66,17 @@ void ProductQuantizer::TrainSampled(const RowSource& source,
 }
 
 size_t ProductQuantizer::NearestCentroid(size_t subspace, const float* sub) const {
-  const la::Matrix& book = codebooks_[subspace];
+  // ksub_ <= 256: bits_per_code is capped at 8.
+  float dist[256];
+  la::kernels::SquaredDistanceBatch(sub, codebooks_[subspace].data(), ksub_,
+                                    dsub_, dist);
+  // Not kernels::ArgMin: this scan starts from +inf, so a NaN first
+  // distance loses to the first finite one.
   size_t best = 0;
   float best_d = std::numeric_limits<float>::infinity();
   for (size_t c = 0; c < ksub_; ++c) {
-    const float d = la::SquaredDistance(sub, book.row(c), dsub_);
-    if (d < best_d) {
-      best_d = d;
+    if (dist[c] < best_d) {
+      best_d = dist[c];
       best = c;
     }
   }
@@ -121,11 +126,13 @@ void ProductQuantizer::ComputeDistanceTable(const float* query, bool inner_produ
   table.resize(m * ksub_);
   for (size_t sub = 0; sub < m; ++sub) {
     const float* q = query + sub * dsub_;
-    const la::Matrix& book = codebooks_[sub];
+    const float* book = codebooks_[sub].data();
     float* row = table.data() + sub * ksub_;
-    for (size_t c = 0; c < ksub_; ++c) {
-      row[c] = inner_product ? -la::Dot(q, book.row(c), dsub_)
-                             : la::SquaredDistance(q, book.row(c), dsub_);
+    if (inner_product) {
+      la::kernels::DotBatch(q, book, ksub_, dsub_, row);
+      for (size_t c = 0; c < ksub_; ++c) row[c] = -row[c];
+    } else {
+      la::kernels::SquaredDistanceBatch(q, book, ksub_, dsub_, row);
     }
   }
 }
@@ -210,19 +217,7 @@ util::Status ProductQuantizer::LoadState(util::BinaryReader& reader) {
   }
   ksub_ = ksub;
   codebooks_ = std::move(books);
-  // Rebuild the derived centroid-to-centroid tables.
-  sdc_tables_.clear();
-  sdc_tables_.reserve(options_.num_subspaces);
-  for (size_t sub = 0; sub < options_.num_subspaces; ++sub) {
-    la::Matrix table(ksub_, ksub_);
-    for (size_t a = 0; a < ksub_; ++a) {
-      for (size_t b = 0; b < ksub_; ++b) {
-        table(a, b) = la::SquaredDistance(codebooks_[sub].row(a),
-                                          codebooks_[sub].row(b), dsub_);
-      }
-    }
-    sdc_tables_.push_back(std::move(table));
-  }
+  BuildSdcTables();
   return util::Status::OK();
 }
 

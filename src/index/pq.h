@@ -120,6 +120,8 @@ class ProductQuantizer {
 
  private:
   size_t NearestCentroid(size_t subspace, const float* sub) const;
+  /// Fills sdc_tables_ from codebooks_ (after Train and LoadState).
+  void BuildSdcTables();
 
   size_t dim_;
   size_t dsub_;

@@ -127,9 +127,7 @@ SearchBatch PqIndex::Search(const la::Matrix& queries, size_t k) const {
       pq_.ComputeDistanceTable(queries.row(q), ip, table);
       pq_.AdcDistanceBatch(table, codes_.data(), count_, dist.data());
       topk.Reset(k);
-      for (size_t row = 0; row < count_; ++row) {
-        if (RowLive(row)) topk.Push(IdOf(row), dist[row]);
-      }
+      PushRows(topk, dist.data(), count_, [](size_t row) { return row; });
       const std::vector<Neighbor>& sorted = topk.Sorted();
       results[q].assign(sorted.begin(), sorted.end());
     }

@@ -80,6 +80,22 @@ class TopK {
   std::vector<Neighbor> heap_;
 };
 
+template <typename RowOf>
+void VectorIndex::PushRows(TopK& heap, const float* dist, size_t n,
+                           RowOf row_of) const {
+  size_t j = 0;
+  for (; j < n && !heap.full(); ++j) {
+    if (RowLive(row_of(j))) heap.Push(IdOf(row_of(j)), dist[j]);
+  }
+  // The bound moves only when a Push succeeds.
+  float bound = heap.Threshold();
+  for (; j < n; ++j) {
+    if (dist[j] >= bound || !RowLive(row_of(j))) continue;
+    heap.Push(IdOf(row_of(j)), dist[j]);
+    bound = heap.Threshold();
+  }
+}
+
 }  // namespace dial::index
 
 #endif  // DIAL_INDEX_TOPK_H_

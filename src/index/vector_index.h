@@ -48,6 +48,7 @@
 namespace dial::index {
 
 class RowSource;
+class TopK;
 
 enum class Metric {
   kL2,            // squared Euclidean distance
@@ -280,6 +281,15 @@ class VectorIndex {
   /// 0..keep.size()-1 in that order. The base Compact() maintains the
   /// id remap around this call.
   virtual void CompactRows(const std::vector<int>& keep);
+
+  /// Offers internal rows row_of(0), ..., row_of(n - 1), at distances
+  /// dist[0..n), to `heap`: the top-k loop of the scan backends (flat and
+  /// matmul tiles, PQ, IVF-PQ lists, the LSH exact fallback). Once the heap
+  /// is full, its worst kept distance lives in a local, and a row TopK::Push
+  /// would reject (the same >= comparison, so a NaN still reaches Push) is
+  /// skipped before its tombstone lookup. Defined in index/topk.h.
+  template <typename RowOf>
+  void PushRows(TopK& heap, const float* dist, size_t n, RowOf row_of) const;
 
   /// Pairwise distance under this index's metric.
   float Distance(const float* a, const float* b) const;

@@ -22,10 +22,14 @@
 ///    512-bit register is one accumulator and every narrower tier keeps the
 ///    same per-lane chains, so all tiers are bit-identical. The batch entry
 ///    points apply the same arithmetic per row: DotBatch and NormsSquared
-///    call the per-row routine, and on the AVX-512 tier SquaredDistanceBatch
-///    builds 16 rows' lane chains, combines all 16 at once by the same tree
-///    (lane-parallel, pair for pair), then adds each row's tail in order. So
-///    a batched scan is bit-identical to calling the scalar kernel per row.
+///    call the per-row routine. On the AVX-512 tier SquaredDistanceBatch
+///    computes 16 rows at once. For rows of 16 floats or more it builds 16
+///    rows' lane chains, combines all 16 at once by the same tree
+///    (lane-parallel, pair for pair), then adds each row's tail in order.
+///    A shorter row (PQ's 8-float subspaces) has empty lane chains, so its
+///    result is +0 followed by one sub/mul/add step per element in order;
+///    lane r replays those steps for row r. So a batched scan is
+///    bit-identical to calling the scalar kernel per row.
 ///  - GEMM accumulates each output element over k in a fixed order: k-blocks
 ///    ascending, 4 rows of b combined per step. The order never depends on
 ///    the thread count (threads split output rows, never the k reduction) or
@@ -86,7 +90,9 @@ void DotBatch(const float* q, const float* base, size_t n, size_t d,
               float* out);
 
 /// out[i] = SquaredDistance(q, base + i*d) for i in [0, n). Bit-identical to
-/// the scalar kernel per row; the AVX-512 tier reduces 16 rows at a time.
+/// the scalar kernel per row. The AVX-512 tier computes 16 rows at a time:
+/// a joint reduction tree for d >= 16, and for d < 16 one gathered column
+/// of 16 rows per step.
 void SquaredDistanceBatch(const float* q, const float* base, size_t n,
                           size_t d, float* out);
 
@@ -131,6 +137,14 @@ void GemmInt8NT(size_t m, size_t n, size_t k, const int8_t* a,
                 const float* a_scales, const int8_t* b, const float* b_scales,
                 const float* bias, float* out,
                 util::ThreadPool* pool = nullptr);
+
+/// Hash of the output bits of Dot, SquaredDistance, the batch entry points,
+/// SquaredDistanceFromDots, the three GEMMs and ADC on fixed probe inputs,
+/// at sizes that reach every tail, 16-row group and the d < 16 batch path.
+/// It changes when the accumulation contract above changes, and is the same
+/// on every dispatch tier (tests/arch_test.cc). tplm::ModelCache keys its
+/// entries on it, so weights pretrained under another contract miss.
+uint64_t OutputDigest();
 
 }  // namespace dial::la::kernels
 

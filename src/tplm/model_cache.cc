@@ -3,6 +3,7 @@
 #include <cstdlib>
 #include <filesystem>
 
+#include "la/kernels.h"
 #include "util/hash.h"
 #include "util/serialize.h"
 
@@ -35,13 +36,15 @@ ModelCache ModelCache::Default() {
 std::string ModelCache::KeyPath(const TplmModel& model, const PretrainOptions& options,
                                 uint64_t corpus_tag) const {
   // Weights depend on the transformer shape, the MLM sequence length, the
-  // pretraining options and the corpus — not on inference-time knobs like
-  // the single-mode pooling mix, so those stay out of the key. They also
-  // depend on the build's kernels, which the key leaves out (model_cache.h).
+  // pretraining options, the corpus and the kernels' accumulation contract —
+  // not on inference-time knobs like the single-mode pooling mix, so those
+  // stay out of the key. The rest of the build is not covered
+  // (model_cache.h).
   uint64_t key = model.config().transformer.Fingerprint();
   key = util::HashCombine(key, model.config().max_single_len);
   key = util::HashCombine(key, options.Fingerprint());
   key = util::HashCombine(key, corpus_tag);
+  key = util::HashCombine(key, la::kernels::OutputDigest());
   return dir_ + "/tplm_" + util::HexDigest(key) + ".bin";
 }
 

@@ -11,12 +11,15 @@
 /// Disk cache for pretrained TPLM weights, so benches and tests that share a
 /// dataset reuse one pretrained model instead of re-running MLM. The key
 /// fingerprints the transformer shape, `max_single_len`, the pretrain
-/// options (seed included) and the corpus. The weights also depend on the
-/// build: the la/kernels.h accumulation order decides their bits, and the key
-/// does not hash the code. The default directory and the tests' TempDir()
-/// caches outlive builds, so a binary with a warm cache silently loads
-/// weights that another build pretrained. Whatever must pin this build's
-/// pretraining (al_golden_test's golden-file case) runs uncached.
+/// options (seed included), the corpus, and la::kernels::OutputDigest(): the
+/// la/kernels.h accumulation order decides the weights' bits, so a build
+/// under another contract misses instead of loading them. Plain rebuilds,
+/// and every dispatch tier, keep the digest and hit. Other code the weights
+/// depend on (autograd, the optimizer, the MLM loop) is not in the key: the
+/// default directory and the tests' TempDir() caches outlive builds, so
+/// after such a change a warm cache still loads weights another build
+/// pretrained. Whatever must pin this build's pretraining (al_golden_test's
+/// golden-file case) runs uncached.
 
 namespace dial::tplm {
 

@@ -97,6 +97,7 @@ struct KernelOutputs {
   std::vector<float> dot_batch;
   std::vector<float> sqdist_batch;
   std::vector<float> sqdist_groups;
+  std::vector<float> sqdist_narrow;
   std::vector<float> norms;
   std::vector<float> from_dots;
   std::vector<float> gemm_nn;
@@ -115,12 +116,13 @@ struct KernelInputs {
   static constexpr size_t kRows = 19, kDim = 53;
   static constexpr size_t kSub = 11, kKsub = 14, kCodes = 29;
   // Three full 16-row groups and no dim tail: the AVX-512 batch scan runs
-  // only its grouped reduction.
-  static constexpr size_t kGroupRows = 48, kGroupDim = 32;
+  // only its grouped reduction. At kNarrowDim, the PQ subspace width, it
+  // runs only its gathered d < 16 path.
+  static constexpr size_t kGroupRows = 48, kGroupDim = 32, kNarrowDim = 8;
 
   size_t m;
   std::vector<float> a, b_nn, b_nt, a_tn, q, base, dots, base_sq, table;
-  std::vector<float> group_q, group_base;
+  std::vector<float> group_q, group_base, narrow_q, narrow_base;
   std::vector<uint8_t> codes;
 
   KernelInputs(uint64_t seed, size_t gemm_rows) : m(gemm_rows) {
@@ -140,6 +142,8 @@ struct KernelInputs {
     }
     group_q = RandomVec(rng, kGroupDim);
     group_base = RandomVec(rng, kGroupRows * kGroupDim);
+    narrow_q = RandomVec(rng, kNarrowDim);
+    narrow_base = RandomVec(rng, kGroupRows * kNarrowDim);
   }
 };
 
@@ -158,6 +162,10 @@ KernelOutputs ComputeAll(const KernelInputs& in, util::ThreadPool* pool) {
   kernels::SquaredDistanceBatch(in.group_q.data(), in.group_base.data(),
                                 I::kGroupRows, I::kGroupDim,
                                 out.sqdist_groups.data());
+  out.sqdist_narrow.resize(I::kGroupRows);
+  kernels::SquaredDistanceBatch(in.narrow_q.data(), in.narrow_base.data(),
+                                I::kGroupRows, I::kNarrowDim,
+                                out.sqdist_narrow.data());
   out.norms.resize(I::kRows);
   kernels::NormsSquared(in.base.data(), I::kRows, I::kDim, out.norms.data());
   out.from_dots.resize(I::kRows);
@@ -196,6 +204,7 @@ void ExpectBitIdentical(const KernelOutputs& want, const KernelOutputs& got,
   vec_eq(want.dot_batch, got.dot_batch, "dot_batch");
   vec_eq(want.sqdist_batch, got.sqdist_batch, "sqdist_batch");
   vec_eq(want.sqdist_groups, got.sqdist_groups, "sqdist_groups");
+  vec_eq(want.sqdist_narrow, got.sqdist_narrow, "sqdist_narrow");
   vec_eq(want.norms, got.norms, "norms");
   vec_eq(want.from_dots, got.from_dots, "from_dots");
   vec_eq(want.gemm_nn, got.gemm_nn, "gemm_nn");
@@ -228,6 +237,18 @@ TEST(ArchParity, EveryTierBitIdenticalToScalarInlineAndPooled) {
             << arch::TierName(tier);
       }
     }
+  }
+}
+
+TEST(ArchParity, OutputDigestIsTheSameOnEveryTier) {
+  // tplm::ModelCache keys its entries on this digest, so a tier that
+  // computed another one would split the cache by DIAL_FORCE_ARCH.
+  TierGuard guard;
+  ASSERT_EQ(arch::SetTier(arch::Tier::kScalar), arch::Tier::kScalar);
+  const uint64_t want = kernels::OutputDigest();
+  for (arch::Tier tier : arch::SupportedTiers()) {
+    ASSERT_EQ(arch::SetTier(tier), tier);
+    EXPECT_EQ(kernels::OutputDigest(), want) << arch::TierName(tier);
   }
 }
 

@@ -206,20 +206,24 @@ TEST(RowKernels, DotAndSquaredDistanceMatchNaive) {
 }
 
 TEST(RowKernels, BatchEntryPointsAreBitIdenticalToScalar) {
-  // Row counts around the AVX-512 16-row groups and dims around the 16-lane
-  // chunks, so every mix of full groups, leftover rows, d < 16 and dim tails
-  // runs. Planted ±0, subnormals, ±inf and NaN must come out with the same
-  // bits too. The planted NaN is the one inf - inf makes at run time, the
-  // same one inf - inf and 0 * inf make inside the kernels, so a result
-  // never holds two NaN payloads: which of two payloads an add returns
-  // depends on the operand order the compiler picks, which can differ
-  // between two inlined copies of one routine.
+  // Row counts around the AVX-512 16-row groups, every d < 16 (the gathered
+  // narrow path) and dims around the 16-lane chunks, so every mix of full
+  // groups, leftover rows and dim tails runs. Planted ±0, subnormals, ±inf
+  // and NaN must come out with the same bits too. The planted NaN is the
+  // one inf - inf makes at run time, the same one inf - inf and 0 * inf
+  // make inside the kernels, so a result never holds two NaN payloads:
+  // which of two payloads an add returns depends on the operand order the
+  // compiler picks, which can differ between two inlined copies of one
+  // routine.
   const float inf = std::numeric_limits<float>::infinity();
   volatile float runtime_inf = inf;
   const float nan = runtime_inf - runtime_inf;
   const float specials[] = {0.0f, -0.0f, 1e-40f, -3e-39f, inf, -inf, nan};
+  std::vector<size_t> dims;
+  for (size_t d = 1; d < 16; ++d) dims.push_back(d);
+  for (const size_t d : {16u, 17u, 32u, 33u, 64u}) dims.push_back(d);
   for (const size_t n : {0u, 1u, 15u, 16u, 17u, 32u, 33u, 257u}) {
-    for (const size_t d : {1u, 15u, 16u, 17u, 32u, 33u, 64u}) {
+    for (const size_t d : dims) {
       Matrix base = Random(std::max<size_t>(n, 1), d, 79 + n * 7 + d);
       Matrix q = Random(1, d, 83 + d);
       util::Rng rng(n * 131 + d);
@@ -282,6 +286,24 @@ TEST(RowKernels, ArgMinArgMaxFirstIndexWinsTies) {
   EXPECT_EQ(kernels::ArgMax(v, 5), 3u);
   EXPECT_EQ(kernels::ArgMin(v, 1), 0u);
   EXPECT_EQ(kernels::ArgMax(v, 1), 0u);
+  // -0 and +0 compare equal, so the first of them wins either way round.
+  const float zeros[] = {1.0f, -0.0f, 0.0f, -0.0f};
+  EXPECT_EQ(kernels::ArgMin(zeros, 4), 1u);
+  const float zeros_rev[] = {-1.0f, 0.0f, -0.0f, 0.0f};
+  EXPECT_EQ(kernels::ArgMax(zeros_rev, 4), 1u);
+  // A NaN v[0] is never beaten; a NaN anywhere else is never picked.
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float nan_first[] = {nan, -2.0f, 7.0f};
+  EXPECT_EQ(kernels::ArgMin(nan_first, 3), 0u);
+  EXPECT_EQ(kernels::ArgMax(nan_first, 3), 0u);
+  const float nan_inside[] = {4.0f, nan, -2.0f, nan, 9.0f};
+  EXPECT_EQ(kernels::ArgMin(nan_inside, 5), 2u);
+  EXPECT_EQ(kernels::ArgMax(nan_inside, 5), 4u);
+  // All +inf: index 0, for both.
+  const float inf = std::numeric_limits<float>::infinity();
+  const float all_inf[] = {inf, inf, inf};
+  EXPECT_EQ(kernels::ArgMin(all_inf, 3), 0u);
+  EXPECT_EQ(kernels::ArgMax(all_inf, 3), 0u);
 }
 
 TEST(MatrixStorage, IsCacheLineAligned) {

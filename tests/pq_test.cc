@@ -1,13 +1,18 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
+#include <cstring>
+#include <limits>
 #include <set>
+#include <string>
 
 #include "index/flat_index.h"
 #include "index/ivfpq_index.h"
 #include "index/pq.h"
 #include "index/pq_index.h"
 #include "index/sq_index.h"
+#include "util/serialize.h"
 
 namespace dial::index {
 namespace {
@@ -50,6 +55,51 @@ double RecallVsFlat(const VectorIndex& index, const la::Matrix& data,
     total += truth[q].size();
   }
   return static_cast<double>(hits) / static_cast<double>(total);
+}
+
+bool SameBits(float a, float b) { return std::memcmp(&a, &b, sizeof(float)) == 0; }
+
+/// The nearest-centroid rule Encode follows: per-centroid kernel distances
+/// scanned with a strict < from +inf, so a NaN distance never wins.
+std::vector<uint8_t> ReferenceCode(const ProductQuantizer& pq, const float* x) {
+  const size_t dsub = pq.subspace_dim();
+  std::vector<uint8_t> code(pq.code_size());
+  for (size_t sub = 0; sub < pq.num_subspaces(); ++sub) {
+    const la::Matrix& book = pq.codebook(sub);
+    size_t best = 0;
+    float best_d = std::numeric_limits<float>::infinity();
+    for (size_t c = 0; c < pq.codebook_size(); ++c) {
+      const float d = la::SquaredDistance(x + sub * dsub, book.row(c), dsub);
+      if (d < best_d) {
+        best_d = d;
+        best = c;
+      }
+    }
+    code[sub] = static_cast<uint8_t>(best);
+  }
+  return code;
+}
+
+/// Round-trips `pq`'s codebooks through SaveState/LoadState into `out`,
+/// after `edit` has changed them on the way.
+template <typename Edit>
+void ReloadState(const ProductQuantizer& pq, ProductQuantizer& out, Edit edit) {
+  const std::string path = testing::TempDir() + "/pq_state.bin";
+  constexpr uint32_t kMagic = 0x50515354;  // "PQST"
+  {
+    util::BinaryWriter writer(path, kMagic, 1);
+    writer.WriteU64(pq.codebook_size());
+    for (size_t sub = 0; sub < pq.num_subspaces(); ++sub) {
+      la::Matrix book = pq.codebook(sub);
+      edit(sub, book);
+      writer.WriteFloats(book.data(), book.size());
+    }
+    ASSERT_TRUE(writer.Finish().ok());
+  }
+  util::BinaryReader reader(path, kMagic, 1);
+  ASSERT_TRUE(reader.status().ok());
+  ASSERT_TRUE(out.LoadState(reader).ok());
+  std::remove(path.c_str());
 }
 
 TEST(ProductQuantizer, RequiresDivisibleDim) {
@@ -232,6 +282,93 @@ TEST(ProductQuantizer, AdcDistanceBatchBitIdenticalToScalar) {
     }
     // Empty scan is a no-op.
     pq.AdcDistanceBatch(table, codes.data(), 0, batch.data());
+  }
+}
+
+TEST(ProductQuantizer, DistanceTableBitIdenticalToPerCentroidKernel) {
+  // One batch scan per subspace fills the table; every entry must carry the
+  // per-centroid kernel's bits. 64 centroids are four 16-row groups, at
+  // subspace widths below, at and above 16.
+  for (const size_t dsub : {size_t{3}, size_t{8}, size_t{16}, size_t{19}}) {
+    const size_t dim = 4 * dsub;
+    const la::Matrix data = RandomVectors(200, dim, 61 + dsub);
+    const la::Matrix queries = RandomVectors(3, dim, 67 + dsub);
+    ProductQuantizer pq(dim, {});
+    pq.Train(data);
+    ASSERT_EQ(pq.codebook_size(), 64u);
+    std::vector<float> table;
+    for (size_t q = 0; q < queries.rows(); ++q) {
+      for (const bool ip : {false, true}) {
+        pq.ComputeDistanceTable(queries.row(q), ip, table);
+        for (size_t sub = 0; sub < pq.num_subspaces(); ++sub) {
+          const float* x = queries.row(q) + sub * dsub;
+          for (size_t c = 0; c < pq.codebook_size(); ++c) {
+            const float* centroid = pq.codebook(sub).row(c);
+            const float want = ip ? -la::Dot(x, centroid, dsub)
+                                  : la::SquaredDistance(x, centroid, dsub);
+            EXPECT_TRUE(SameBits(table[sub * pq.codebook_size() + c], want))
+                << "dsub=" << dsub << " ip=" << ip << " sub=" << sub
+                << " c=" << c;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(ProductQuantizer, EncodeMatchesScalarNearestCentroid) {
+  const size_t dim = 32;  // four subspaces of 8
+  const la::Matrix data = RandomVectors(300, dim, 71);
+  ProductQuantizer pq(dim, {});
+  pq.Train(data);
+  const std::vector<uint8_t> codes = pq.EncodeBatch(data);
+  for (size_t i = 0; i < data.rows(); ++i) {
+    const std::vector<uint8_t> got(codes.begin() + i * pq.code_size(),
+                                   codes.begin() + (i + 1) * pq.code_size());
+    EXPECT_EQ(got, ReferenceCode(pq, data.row(i))) << "row " << i;
+  }
+  // A NaN in centroid 0 of subspace 0 makes every first distance there NaN.
+  // kernels::ArgMin would keep index 0; Encode picks the nearest finite one.
+  ProductQuantizer nan_pq(dim, {});
+  ReloadState(pq, nan_pq, [](size_t sub, la::Matrix& book) {
+    if (sub == 0) book(0, 0) = std::numeric_limits<float>::quiet_NaN();
+  });
+  std::vector<uint8_t> code(nan_pq.code_size());
+  for (size_t i = 0; i < 50; ++i) {
+    nan_pq.Encode(data.row(i), code.data());
+    EXPECT_EQ(code, ReferenceCode(nan_pq, data.row(i))) << "row " << i;
+    EXPECT_NE(code[0], 0u) << "row " << i;
+  }
+}
+
+TEST(ProductQuantizer, SdcTablesAfterLoadStateMatchTrain) {
+  // Codes that differ in one subspace and hold centroid 0 in the other read
+  // one table entry plus an exact 0, so every entry of both tables is
+  // pinned: equal to the per-centroid kernel after Train and after LoadState.
+  const size_t dim = 16;
+  ProductQuantizer::Options options;
+  options.num_subspaces = 2;
+  const la::Matrix data = RandomVectors(200, dim, 73);
+  ProductQuantizer trained(dim, options);
+  trained.Train(data);
+  ProductQuantizer loaded(dim, options);
+  ReloadState(trained, loaded, [](size_t, la::Matrix&) {});
+  ASSERT_EQ(loaded.codebook_size(), trained.codebook_size());
+  for (size_t sub = 0; sub < 2; ++sub) {
+    const la::Matrix& book = trained.codebook(sub);
+    for (size_t a = 0; a < trained.codebook_size(); ++a) {
+      for (size_t b = 0; b < trained.codebook_size(); ++b) {
+        uint8_t ca[2] = {0, 0};
+        uint8_t cb[2] = {0, 0};
+        ca[sub] = static_cast<uint8_t>(a);
+        cb[sub] = static_cast<uint8_t>(b);
+        const float want = la::SquaredDistance(book.row(a), book.row(b), 8);
+        EXPECT_TRUE(SameBits(trained.SymmetricDistance(ca, cb), want))
+            << "train sub=" << sub << " a=" << a << " b=" << b;
+        EXPECT_TRUE(SameBits(loaded.SymmetricDistance(ca, cb), want))
+            << "load sub=" << sub << " a=" << a << " b=" << b;
+      }
+    }
   }
 }
 

@@ -45,7 +45,9 @@ struct BenchFlags {
 
   void Parse(int argc, char** argv) { flags.Parse(argc, argv); }
 
-  data::Scale ParsedScale() const { return data::ParseScale(*scale); }
+  data::Scale ParsedScale() const {
+    return util::CheckFlag(data::ParseScale(*scale));
+  }
 
   std::vector<std::string> DatasetList() const {
     if (datasets->empty()) return data::BenchmarkDatasetNames();

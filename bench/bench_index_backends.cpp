@@ -1,54 +1,26 @@
 // Ablation (beyond the paper's tables): index-backend choice for the
 // blocker's retrieval step — the "to index or not to index" trade-off the
 // paper discusses in Sec. 5.4 (FAISS k-selection vs DITTO's blocked matmul
-// vs DeepER/AutoBlock LSH). Two parts:
+// vs DeepER/AutoBlock LSH). Three parts:
 //
 //   1. On each benchmark dataset: candidate recall + retrieval time per
 //      backend over the pretrained TPLM's single-mode embeddings.
 //   2. A synthetic scale sweep (clustered vectors) showing how build/search
 //      cost and recall move as the database grows — where the approximate
-//      structures start paying for themselves.
+//      structures start paying for themselves. Search is timed best of
+//      --reps, inline and over the worker pool, and the pooled results must
+//      be bit-identical to the inline ones.
+//   3. The warm-start refresh sweep (--refresh_json_out).
+//
+// Every index is built by core::MakeIbcIndex, with the options IBC uses.
+// CI's bench-smoke job archives --json_out as BENCH_index.json.
 
 #include <set>
 
 #include "bench_common.h"
 #include "index/flat_index.h"
-#include "index/hnsw_index.h"
-#include "index/ivf_index.h"
-#include "index/ivfpq_index.h"
-#include "index/lsh_index.h"
-#include "index/matmul_search.h"
-#include "index/pq_index.h"
-#include "index/sq_index.h"
 
 namespace {
-
-std::unique_ptr<dial::index::VectorIndex> Make(dial::core::IndexBackend backend,
-                                               size_t dim) {
-  using dial::core::IndexBackend;
-  using namespace dial::index;
-  switch (backend) {
-    case IndexBackend::kFlat:
-      return std::make_unique<FlatIndex>(dim, Metric::kL2);
-    case IndexBackend::kIvf:
-      return std::make_unique<IvfIndex>(dim, Metric::kL2, IvfIndex::Options{});
-    case IndexBackend::kLsh:
-      return std::make_unique<LshIndex>(dim, Metric::kL2, LshIndex::Options{});
-    case IndexBackend::kPq:
-      return std::make_unique<PqIndex>(dim, Metric::kL2,
-                                       ProductQuantizer::Options{});
-    case IndexBackend::kIvfPq:
-      return std::make_unique<IvfPqIndex>(dim, Metric::kL2,
-                                          IvfPqIndex::Options{});
-    case IndexBackend::kSq:
-      return std::make_unique<SqIndex>(dim, Metric::kL2);
-    case IndexBackend::kHnsw:
-      return std::make_unique<HnswIndex>(dim, Metric::kL2, HnswIndex::Options{});
-    case IndexBackend::kMatmul:
-      return std::make_unique<MatmulSearchIndex>(dim, Metric::kL2);
-  }
-  return nullptr;
-}
 
 dial::la::Matrix Clustered(size_t n, size_t d, size_t clusters, uint64_t seed) {
   dial::util::Rng rng(seed);
@@ -91,10 +63,37 @@ dial::la::Matrix Drift(const dial::la::Matrix& data, uint64_t seed) {
   return out;
 }
 
+/// Best-of-`reps` wall milliseconds for one batch Search.
+double SearchMs(const dial::index::VectorIndex& index,
+                const dial::la::Matrix& queries, size_t k, size_t reps) {
+  double best = 1e300;
+  for (size_t r = 0; r < reps; ++r) {
+    dial::util::WallTimer timer;
+    const dial::index::SearchBatch batch = index.Search(queries, k);
+    best = std::min(best, timer.Seconds() * 1000.0);
+    DIAL_CHECK_EQ(batch.size(), queries.rows());
+  }
+  return best;
+}
+
+bool SameBatch(const dial::index::SearchBatch& a,
+               const dial::index::SearchBatch& b) {
+  if (a.size() != b.size()) return false;
+  for (size_t q = 0; q < a.size(); ++q) {
+    if (a[q].size() != b[q].size()) return false;
+    for (size_t i = 0; i < a[q].size(); ++i) {
+      if (a[q][i].id != b[q][i].id || a[q][i].distance != b[q][i].distance) {
+        return false;
+      }
+    }
+  }
+  return true;
+}
+
 double RecallVsFlat(dial::index::VectorIndex& index,
                     const dial::la::Matrix& data,
                     const dial::la::Matrix& queries, size_t k) {
-  dial::index::FlatIndex truth(data.cols(), dial::index::Metric::kL2);
+  dial::index::FlatIndex truth(data.cols());
   truth.Add(data);
   const auto expected = truth.Search(queries, k);
   const auto got = index.Search(queries, k);
@@ -115,6 +114,8 @@ int main(int argc, char** argv) {
   int64_t* k = flags.flags.AddInt("k", 3, "neighbours per probe");
   int64_t* threads =
       flags.flags.AddInt("threads", 2, "worker threads for the threaded columns");
+  int64_t* reps = flags.flags.AddInt(
+      "reps", 3, "scale-sweep search repetitions (times are best of)");
   std::string* refresh_json_out = flags.flags.AddString(
       "refresh_json_out", "",
       "write the warm-start refresh sweep records here (BENCH_refresh.json)");
@@ -172,32 +173,35 @@ int main(int argc, char** argv) {
 
   // Part 2: synthetic scale sweep (recall@10 vs flat truth), with the
   // batch-search speedup from attaching a thread pool (bit-identical
-  // results; see VectorIndex::SetThreadPool).
+  // results, checked below; see VectorIndex::SetThreadPool).
   std::printf(
-      "Scale sweep (clustered vectors, dim 32, recall@10 vs exact, %lldt = "
-      "%lld-thread pool):\n",
-      static_cast<long long>(*threads), static_cast<long long>(*threads));
+      "Scale sweep (clustered vectors, dim 32, recall@10 vs exact, search ms "
+      "= best of %lld, %lld-thread pool):\n",
+      static_cast<long long>(*reps), static_cast<long long>(*threads));
   dial::util::TablePrinter sweep({"n", "backend", "build ms", "search ms",
                                   "search ms (pool)", "speedup", "recall@10"});
   const size_t dim = 32;
   for (const size_t n : {size_t{2000}, size_t{8000}}) {
     const dial::la::Matrix data = Clustered(n, dim, 32, 5);
     const dial::la::Matrix queries = Clustered(200, dim, 32, 6);
-    dial::index::FlatIndex truth_index(dim, dial::index::Metric::kL2);
+    dial::index::FlatIndex truth_index(dim);
     truth_index.Add(data);
     const auto truth = truth_index.Search(queries, 10);
     for (const auto backend : dial::core::AllIndexBackends()) {
-      auto index = Make(backend, dim);
+      auto index =
+          dial::core::MakeIbcIndex(backend, dim, dial::index::Metric::kL2);
       dial::util::WallTimer timer;
       index->Add(data);
       const double build_ms = timer.Seconds() * 1000.0;
-      timer.Restart();
+      const double search_ms =
+          SearchMs(*index, queries, 10, static_cast<size_t>(*reps));
       const auto got = index->Search(queries, 10);
-      const double search_ms = timer.Seconds() * 1000.0;
       index->SetThreadPool(&pool);
-      timer.Restart();
-      const auto got_pool = index->Search(queries, 10);
-      const double pool_ms = timer.Seconds() * 1000.0;
+      const double pool_ms =
+          SearchMs(*index, queries, 10, static_cast<size_t>(*reps));
+      DIAL_CHECK(SameBatch(index->Search(queries, 10), got))
+          << "threaded search diverged from inline for "
+          << dial::core::IndexBackendName(backend);
       const double speedup = pool_ms > 0.0 ? search_ms / pool_ms : 0.0;
       size_t hits = 0, total = 0;
       for (size_t q = 0; q < queries.rows(); ++q) {
@@ -218,14 +222,15 @@ int main(int argc, char** argv) {
                {{"backend", dial::core::IndexBackendName(backend)},
                 {"n", std::to_string(n)},
                 {"dim", std::to_string(dim)},
-                {"threads", std::to_string(*threads)}},
+                {"queries", std::to_string(queries.rows())},
+                {"threads", std::to_string(*threads)},
+                {"reps", std::to_string(*reps)}},
                {{"build_ms", build_ms},
                 {"search_ms_inline", search_ms},
                 {"search_ms_threaded", pool_ms},
                 {"speedup", speedup},
                 {"recall_at_10", recall}},
                build_ms + search_ms + pool_ms);
-      (void)got_pool;
     }
   }
   std::printf("%s\n", sweep.ToString().c_str());
@@ -259,8 +264,8 @@ int main(int argc, char** argv) {
     const size_t rn = RefreshSweepN(backend);
     const dial::la::Matrix base = Clustered(rn, rdim, 32, 11);
     const dial::la::Matrix refresh_queries = Clustered(100, rdim, 32, 12);
-    auto live = Make(backend, rdim);
-    live->SetThreadPool(&pool);
+    auto live = dial::core::MakeIbcIndex(backend, rdim,
+                                         dial::index::Metric::kL2, &pool);
     dial::util::WallTimer timer;
     live->Add(base);
     const double build_ms = timer.Seconds() * 1000.0;
@@ -271,8 +276,8 @@ int main(int argc, char** argv) {
     std::unique_ptr<dial::index::VectorIndex> fresh;
     for (size_t r = 1; r <= drift_rounds; ++r) {
       current = Drift(current, 100 + r);
-      fresh = Make(backend, rdim);
-      fresh->SetThreadPool(&pool);
+      fresh = dial::core::MakeIbcIndex(backend, rdim, dial::index::Metric::kL2,
+                                       &pool);
       timer.Restart();
       fresh->Add(current);
       rebuild_ms += timer.Seconds() * 1000.0;

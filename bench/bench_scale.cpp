@@ -110,7 +110,7 @@ std::unique_ptr<dial::index::VectorIndex> Build(const BackendSpec& spec,
   if (spec.sharded) {
     const dial::core::IndexBackend backend = spec.backend;
     auto index = std::make_unique<dial::index::IndexShard>(
-        dim, dial::index::Metric::kL2, shards, [backend, dim] {
+        dim, shards, [backend, dim] {
           return dial::core::MakeIbcIndex(backend, dim,
                                           dial::index::Metric::kL2, nullptr);
         });
@@ -265,8 +265,8 @@ int main(int argc, char** argv) {
     BackendSpec spec;
     spec.name = tok;
     spec.sharded = tok.rfind("shard-", 0) == 0;
-    spec.backend =
-        dial::core::ParseIndexBackend(spec.sharded ? tok.substr(6) : tok);
+    spec.backend = dial::util::CheckFlag(
+        dial::core::ParseIndexBackend(spec.sharded ? tok.substr(6) : tok));
     specs.push_back(std::move(spec));
   }
   // VmHWM never comes back down: run the code-only backends before anything

@@ -38,27 +38,25 @@ using namespace dial::index;
 std::unique_ptr<VectorIndex> Make(IndexBackend backend, size_t dim) {
   switch (backend) {
     case IndexBackend::kFlat:
-      return std::make_unique<FlatIndex>(dim, Metric::kL2);
+      return std::make_unique<FlatIndex>(dim);
     case IndexBackend::kIvf: {
       IvfIndex::Options options;
       options.nlist = 32;
       options.nprobe = 4;
-      return std::make_unique<IvfIndex>(dim, Metric::kL2, options);
+      return std::make_unique<IvfIndex>(dim, options);
     }
     case IndexBackend::kLsh:
-      return std::make_unique<LshIndex>(dim, Metric::kL2, LshIndex::Options{});
+      return std::make_unique<LshIndex>(dim, LshIndex::Options{});
     case IndexBackend::kPq:
-      return std::make_unique<PqIndex>(dim, Metric::kL2,
-                                       ProductQuantizer::Options{});
+      return std::make_unique<PqIndex>(dim, ProductQuantizer::Options{});
     case IndexBackend::kIvfPq:
-      return std::make_unique<IvfPqIndex>(dim, Metric::kL2,
-                                          IvfPqIndex::Options{});
+      return std::make_unique<IvfPqIndex>(dim, IvfPqIndex::Options{});
     case IndexBackend::kSq:
-      return std::make_unique<SqIndex>(dim, Metric::kL2);
+      return std::make_unique<SqIndex>(dim);
     case IndexBackend::kHnsw:
-      return std::make_unique<HnswIndex>(dim, Metric::kL2, HnswIndex::Options{});
+      return std::make_unique<HnswIndex>(dim, HnswIndex::Options{});
     case IndexBackend::kMatmul:
-      return std::make_unique<MatmulSearchIndex>(dim, Metric::kL2);
+      return std::make_unique<MatmulSearchIndex>(dim);
   }
   return nullptr;
 }
@@ -249,7 +247,7 @@ int main(int argc, char** argv) {
       const dial::la::Matrix queries =
           stream.Draw(static_cast<size_t>(*num_queries));
       const dial::la::Matrix live = LiveMatrix(items, dim);
-      FlatIndex truth(dim, Metric::kL2);
+      FlatIndex truth(dim);
       truth.Add(live);
       const SearchBatch expected = truth.Search(queries, k);
 

@@ -28,6 +28,8 @@ int main(int argc, char** argv) {
       "refresh_json_out", "", "write refresh-vs-rebuild records here");
   flags.Parse(argc, argv);
   const auto scale = flags.ParsedScale();
+  const auto index_backend =
+      dial::util::CheckFlag(dial::core::ParseIndexBackend(*backend));
 
   dial::bench::PrintHeader("Table 9: per-operation time in the last AL round",
                            "paper Table 9");
@@ -49,7 +51,7 @@ int main(int argc, char** argv) {
           static_cast<uint64_t>(*flags.seed), *flags.rounds,
           [&](dial::core::AlConfig& config) {
             config.num_threads = static_cast<size_t>(*threads);
-            config.index_backend = dial::core::ParseIndexBackend(*backend);
+            config.index_backend = index_backend;
             config.index_refresh = refresh;
           });
       const double wall_ms = timer.Seconds() * 1000.0;

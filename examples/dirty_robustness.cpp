@@ -59,7 +59,8 @@ int main(int argc, char** argv) {
   int64_t* seed = flags.AddInt("seed", 7, "experiment seed");
   flags.Parse(argc, argv);
 
-  const dial::data::Scale scale = dial::data::ParseScale(*scale_text);
+  const dial::data::Scale scale =
+      dial::util::CheckFlag(dial::data::ParseScale(*scale_text));
   std::printf("running clean variant (%s)...\n", dataset->c_str());
   const Row clean = RunBoth(*dataset, scale, static_cast<size_t>(*rounds),
                             static_cast<uint64_t>(*seed));

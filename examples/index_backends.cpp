@@ -25,7 +25,7 @@ int main(int argc, char** argv) {
   flags.Parse(argc, argv);
 
   dial::core::ExperimentConfig exp_config;
-  exp_config.scale = dial::data::ParseScale(*scale);
+  exp_config.scale = dial::util::CheckFlag(dial::data::ParseScale(*scale));
   dial::core::Experiment exp = dial::core::PrepareExperiment(*dataset, exp_config);
 
   // Single-mode embeddings E(x) from the pretrained TPLM (the PairedFixed

@@ -16,7 +16,7 @@ int main(int argc, char** argv) {
   std::string* scale_text = flags.AddString("scale", "smoke", "smoke|small|medium");
   int64_t* rounds = flags.AddInt("rounds", 2, "active learning rounds");
   flags.Parse(argc, argv);
-  const auto scale = dial::data::ParseScale(*scale_text);
+  const auto scale = dial::util::CheckFlag(dial::data::ParseScale(*scale_text));
 
   dial::core::Experiment exp = dial::core::PrepareExperiment(
       "multilingual", dial::core::DefaultExperimentConfig(scale));

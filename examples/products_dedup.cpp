@@ -18,7 +18,7 @@ int main(int argc, char** argv) {
   int64_t* rounds = flags.AddInt("rounds", 3, "active learning rounds");
   int64_t* top = flags.AddInt("top", 10, "matches to print");
   flags.Parse(argc, argv);
-  const auto scale = dial::data::ParseScale(*scale_text);
+  const auto scale = dial::util::CheckFlag(dial::data::ParseScale(*scale_text));
 
   dial::core::Experiment exp = dial::core::PrepareExperiment(
       "walmart_amazon", dial::core::DefaultExperimentConfig(scale));

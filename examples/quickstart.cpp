@@ -27,7 +27,7 @@ int main(int argc, char** argv) {
 
   // 1-2. Dataset + pretrained model (cached on disk after the first run).
   dial::core::ExperimentConfig exp_config;
-  exp_config.scale = dial::data::ParseScale(*scale);
+  exp_config.scale = dial::util::CheckFlag(dial::data::ParseScale(*scale));
   dial::core::Experiment exp = dial::core::PrepareExperiment(*dataset, exp_config);
   const auto stats = dial::data::ComputeStats(exp.bundle);
   std::printf("dataset %s: |R|=%zu |S|=%zu |dups|=%zu |Dtest|=%zu\n",

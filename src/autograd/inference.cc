@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "la/kernels.h"
+#include "util/flags.h"
 #include "util/logging.h"
 
 namespace dial::autograd {
@@ -60,16 +61,11 @@ void InferenceContext::Clear() {
   quant_epoch_ = 0;
 }
 
-bool ParsePrecision(const std::string& text, Precision* out) {
-  if (text == "fp32" || text == "float32") {
-    *out = Precision::kFloat32;
-    return true;
-  }
-  if (text == "int8") {
-    *out = Precision::kInt8;
-    return true;
-  }
-  return false;
+util::StatusOr<Precision> ParsePrecision(const std::string& text) {
+  return util::ParseChoice<Precision>("precision", text,
+                                      {{"fp32", Precision::kFloat32},
+                                       {"float32", Precision::kFloat32},
+                                       {"int8", Precision::kInt8}});
 }
 
 const char* PrecisionName(Precision precision) {

@@ -10,6 +10,7 @@
 
 #include "la/matrix.h"
 #include "la/quant.h"
+#include "util/status.h"
 
 /// \file
 /// Tape-free forward mode: the inference-engine counterpart of `Tape`.
@@ -46,9 +47,9 @@ enum class Precision {
   kInt8 = 1,
 };
 
-/// Parses "fp32"/"int8" (the AlConfig / --precision spellings). Returns
-/// false on unknown text.
-bool ParsePrecision(const std::string& text, Precision* out);
+/// Parses "fp32" (or "float32") / "int8", the AlConfig and --precision
+/// spellings; InvalidArgument naming them otherwise.
+util::StatusOr<Precision> ParsePrecision(const std::string& text);
 const char* PrecisionName(Precision precision);
 
 /// Shape-keyed scratch-matrix arena plus the worker pool shared by every

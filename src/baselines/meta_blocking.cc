@@ -6,6 +6,7 @@
 #include <unordered_set>
 
 #include "text/tokenizer.h"
+#include "util/flags.h"
 
 namespace dial::baselines {
 
@@ -123,14 +124,14 @@ void FilterBlocks(BlockCollection& collection, double ratio) {
   collection.blocks = std::move(filtered);
 }
 
-EdgeWeighting ParseEdgeWeighting(const std::string& text) {
-  if (text == "cbs") return EdgeWeighting::kCbs;
-  if (text == "js") return EdgeWeighting::kJs;
-  if (text == "ecbs") return EdgeWeighting::kEcbs;
-  if (text == "arcs") return EdgeWeighting::kArcs;
-  if (text == "chisquare") return EdgeWeighting::kChiSquare;
-  DIAL_LOG_FATAL << "Unknown edge weighting '" << text << "'";
-  return EdgeWeighting::kJs;
+util::StatusOr<EdgeWeighting> ParseEdgeWeighting(const std::string& text) {
+  return util::ParseChoice<EdgeWeighting>(
+      "edge weighting", text,
+      {{"cbs", EdgeWeighting::kCbs},
+       {"js", EdgeWeighting::kJs},
+       {"ecbs", EdgeWeighting::kEcbs},
+       {"arcs", EdgeWeighting::kArcs},
+       {"chisquare", EdgeWeighting::kChiSquare}});
 }
 
 std::string EdgeWeightingName(EdgeWeighting weighting) {
@@ -144,13 +145,13 @@ std::string EdgeWeightingName(EdgeWeighting weighting) {
   return "?";
 }
 
-PruningScheme ParsePruningScheme(const std::string& text) {
-  if (text == "wep") return PruningScheme::kWep;
-  if (text == "cep") return PruningScheme::kCep;
-  if (text == "wnp") return PruningScheme::kWnp;
-  if (text == "cnp") return PruningScheme::kCnp;
-  DIAL_LOG_FATAL << "Unknown pruning scheme '" << text << "'";
-  return PruningScheme::kWep;
+util::StatusOr<PruningScheme> ParsePruningScheme(const std::string& text) {
+  return util::ParseChoice<PruningScheme>(
+      "pruning scheme", text,
+      {{"wep", PruningScheme::kWep},
+       {"cep", PruningScheme::kCep},
+       {"wnp", PruningScheme::kWnp},
+       {"cnp", PruningScheme::kCnp}});
 }
 
 std::string PruningSchemeName(PruningScheme scheme) {

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "data/dataset.h"
+#include "util/status.h"
 #include "util/thread_pool.h"
 
 /// \file
@@ -72,9 +73,11 @@ enum class PruningScheme {
   kCnp,  // cardinality node pruning: per-node top-k edges
 };
 
-EdgeWeighting ParseEdgeWeighting(const std::string& text);
+/// EdgeWeightingName / PruningSchemeName spellings; InvalidArgument naming
+/// the accepted ones otherwise.
+util::StatusOr<EdgeWeighting> ParseEdgeWeighting(const std::string& text);
 std::string EdgeWeightingName(EdgeWeighting weighting);
-PruningScheme ParsePruningScheme(const std::string& text);
+util::StatusOr<PruningScheme> ParsePruningScheme(const std::string& text);
 std::string PruningSchemeName(PruningScheme scheme);
 
 struct WeightedEdge {

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "core/checkpoint.h"
+#include "util/flags.h"
 #include "util/timer.h"
 
 namespace dial::core {
@@ -13,24 +14,20 @@ namespace {
 // failure on typos — silently running fp32 when the user asked for int8
 // would invalidate any parity comparison) at each model-construction site.
 autograd::Precision ConfiguredPrecision(const AlConfig& config) {
-  autograd::Precision precision;
-  if (!autograd::ParsePrecision(config.inference_precision, &precision)) {
-    DIAL_LOG_FATAL << "Unknown inference_precision '"
-                   << config.inference_precision << "' (fp32|int8)";
-  }
-  return precision;
+  return autograd::ParsePrecision(config.inference_precision).value();
 }
 
 }  // namespace
 
-BlockingStrategy ParseBlocking(const std::string& text) {
-  if (text == "dial") return BlockingStrategy::kDial;
-  if (text == "paired_fixed") return BlockingStrategy::kPairedFixed;
-  if (text == "paired_adapt") return BlockingStrategy::kPairedAdapt;
-  if (text == "sentence_bert") return BlockingStrategy::kSentenceBert;
-  if (text == "fixed_external") return BlockingStrategy::kFixedExternal;
-  DIAL_LOG_FATAL << "Unknown blocking strategy '" << text << "'";
-  return BlockingStrategy::kDial;
+util::StatusOr<BlockingStrategy> ParseBlocking(const std::string& text) {
+  return util::ParseChoice<BlockingStrategy>(
+      "blocking strategy", text,
+      {{"dial", BlockingStrategy::kDial},
+       {"paired_fixed", BlockingStrategy::kPairedFixed},
+       {"paired_adapt", BlockingStrategy::kPairedAdapt},
+       {"sentence_bert", BlockingStrategy::kSentenceBert},
+       {"rules", BlockingStrategy::kFixedExternal},
+       {"fixed_external", BlockingStrategy::kFixedExternal}});
 }
 
 std::string BlockingName(BlockingStrategy strategy) {

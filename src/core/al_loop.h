@@ -28,7 +28,10 @@ enum class BlockingStrategy {
   kFixedExternal,  // candidates supplied by the caller (Rules baseline)
 };
 
-BlockingStrategy ParseBlocking(const std::string& text);
+/// "dial" | "paired_fixed" | "paired_adapt" | "sentence_bert" | "rules"
+/// (also "fixed_external") for kFixedExternal, whose caller supplies the
+/// Rules baseline's candidates; InvalidArgument naming them otherwise.
+util::StatusOr<BlockingStrategy> ParseBlocking(const std::string& text);
 std::string BlockingName(BlockingStrategy strategy);
 
 struct AlConfig {

@@ -11,7 +11,9 @@ namespace {
 
 constexpr uint32_t kCheckpointMagic = 0x4441'4c43;  // "DALC"
 // v2: RoundMetrics gained t_index_build/index_warm_members and the file
-// gained the IbcIndexCache warm-state section (index-refresh lifecycle).
+// gained the IbcIndexCache warm-state section (index-refresh lifecycle). Its
+// header tags the backend and a metric; the metric tag now always reads 0
+// (squared L2, the only metric) and any other value is kCorruption.
 // v3: RoundMetrics gained t_predict/t_embed (inference-engine breakdown).
 // v4: CRC32C trailer (whole-file, verified before parsing); payload layout
 // unchanged. Only v4 loads; older files fail with kCorruption.
@@ -156,7 +158,10 @@ uint64_t AlConfigFingerprint(const AlConfig& config, const std::string& dataset)
     return v > 0.0 ? static_cast<uint64_t>(v * 1e6) : uint64_t{0};
   };
   h = util::HashCombine(h, knob(config.refresh.drift_threshold));
-  h = util::HashCombine(h, knob(config.refresh.max_stale_bits));
+  // LSH's refresh stale-bit fraction, a constant (0.02) in lsh_index.cc:
+  // checkpoints written while it was a RefreshOptions field hashed it, and
+  // keep resuming only while its value stays in the fingerprint.
+  h = util::HashCombine(h, knob(0.02));
   h = util::HashCombine(h, config.seed);
   h = util::HashCombine(h, config.matcher.seed);
   h = util::HashCombine(h, config.blocker.seed);

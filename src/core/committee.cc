@@ -4,18 +4,19 @@
 
 #include "autograd/optim.h"
 #include "autograd/ops.h"
+#include "util/flags.h"
 #include "util/string_util.h"
 
 namespace dial::core {
 
 using autograd::Var;
 
-BlockerObjective ParseObjective(const std::string& text) {
-  if (text == "contrastive") return BlockerObjective::kContrastive;
-  if (text == "triplet") return BlockerObjective::kTriplet;
-  if (text == "classification") return BlockerObjective::kClassification;
-  DIAL_LOG_FATAL << "Unknown blocker objective '" << text << "'";
-  return BlockerObjective::kContrastive;
+util::StatusOr<BlockerObjective> ParseObjective(const std::string& text) {
+  return util::ParseChoice<BlockerObjective>(
+      "blocker objective", text,
+      {{"contrastive", BlockerObjective::kContrastive},
+       {"triplet", BlockerObjective::kTriplet},
+       {"classification", BlockerObjective::kClassification}});
 }
 
 std::string ObjectiveName(BlockerObjective objective) {
@@ -28,6 +29,12 @@ std::string ObjectiveName(BlockerObjective objective) {
       return "classification";
   }
   return "?";
+}
+
+util::StatusOr<NegativeSource> ParseNegativeSource(const std::string& text) {
+  return util::ParseChoice<NegativeSource>(
+      "negative source", text,
+      {{"random", NegativeSource::kRandom}, {"labeled", NegativeSource::kLabeled}});
 }
 
 std::string NegativeSourceName(NegativeSource source) {

@@ -9,6 +9,7 @@
 #include "data/dataset.h"
 #include "nn/layers.h"
 #include "util/serialize.h"
+#include "util/status.h"
 
 /// \file
 /// The DIAL blocker (Sec. 3.2): a committee of N lightweight embedding heads
@@ -32,8 +33,11 @@ enum class NegativeSource {
   kLabeled,  // the hard negatives T_n collected by AL (Table 4 ablation)
 };
 
-BlockerObjective ParseObjective(const std::string& text);
+/// ObjectiveName / NegativeSourceName spellings; InvalidArgument naming the
+/// accepted ones otherwise.
+util::StatusOr<BlockerObjective> ParseObjective(const std::string& text);
 std::string ObjectiveName(BlockerObjective objective);
+util::StatusOr<NegativeSource> ParseNegativeSource(const std::string& text);
 std::string NegativeSourceName(NegativeSource source);
 
 struct BlockerConfig {

@@ -4,6 +4,7 @@
 #include <memory>
 #include <unordered_map>
 
+#include "util/flags.h"
 #include "util/timer.h"
 
 #include "index/flat_index.h"
@@ -17,17 +18,13 @@
 
 namespace dial::core {
 
-IndexBackend ParseIndexBackend(const std::string& text) {
-  if (text == "flat") return IndexBackend::kFlat;
-  if (text == "ivf") return IndexBackend::kIvf;
-  if (text == "lsh") return IndexBackend::kLsh;
-  if (text == "pq") return IndexBackend::kPq;
-  if (text == "ivfpq") return IndexBackend::kIvfPq;
-  if (text == "sq") return IndexBackend::kSq;
-  if (text == "hnsw") return IndexBackend::kHnsw;
-  if (text == "matmul") return IndexBackend::kMatmul;
-  DIAL_LOG_FATAL << "Unknown index backend '" << text << "'";
-  return IndexBackend::kFlat;
+util::StatusOr<IndexBackend> ParseIndexBackend(const std::string& text) {
+  return util::ParseChoice<IndexBackend>(
+      "index backend", text,
+      {{"flat", IndexBackend::kFlat},   {"ivf", IndexBackend::kIvf},
+       {"lsh", IndexBackend::kLsh},     {"pq", IndexBackend::kPq},
+       {"ivfpq", IndexBackend::kIvfPq}, {"sq", IndexBackend::kSq},
+       {"hnsw", IndexBackend::kHnsw},   {"matmul", IndexBackend::kMatmul}});
 }
 
 std::string IndexBackendName(IndexBackend backend) {
@@ -63,40 +60,39 @@ size_t PqSubspacesFor(size_t dim, size_t want) {
 }  // namespace
 
 std::unique_ptr<index::VectorIndex> MakeIbcIndex(IndexBackend backend, size_t dim,
-                                                 index::Metric metric,
+                                                 index::Metric /*metric*/,
                                                  util::ThreadPool* pool) {
   std::unique_ptr<index::VectorIndex> idx;
   switch (backend) {
     case IndexBackend::kFlat:
-      idx = std::make_unique<index::FlatIndex>(dim, metric);
+      idx = std::make_unique<index::FlatIndex>(dim);
       break;
     case IndexBackend::kIvf:
-      idx = std::make_unique<index::IvfIndex>(dim, metric, index::IvfIndex::Options{});
+      idx = std::make_unique<index::IvfIndex>(dim, index::IvfIndex::Options{});
       break;
     case IndexBackend::kLsh:
-      idx = std::make_unique<index::LshIndex>(dim, metric, index::LshIndex::Options{});
+      idx = std::make_unique<index::LshIndex>(dim, index::LshIndex::Options{});
       break;
     case IndexBackend::kPq: {
       index::ProductQuantizer::Options pq;
       pq.num_subspaces = PqSubspacesFor(dim, 4);
-      idx = std::make_unique<index::PqIndex>(dim, metric, pq);
+      idx = std::make_unique<index::PqIndex>(dim, pq);
       break;
     }
     case IndexBackend::kIvfPq: {
       index::IvfPqIndex::Options opts;
       opts.pq.num_subspaces = PqSubspacesFor(dim, 4);
-      idx = std::make_unique<index::IvfPqIndex>(dim, metric, opts);
+      idx = std::make_unique<index::IvfPqIndex>(dim, opts);
       break;
     }
     case IndexBackend::kSq:
-      idx = std::make_unique<index::SqIndex>(dim, metric);
+      idx = std::make_unique<index::SqIndex>(dim);
       break;
     case IndexBackend::kHnsw:
-      idx = std::make_unique<index::HnswIndex>(dim, metric,
-                                               index::HnswIndex::Options{});
+      idx = std::make_unique<index::HnswIndex>(dim, index::HnswIndex::Options{});
       break;
     case IndexBackend::kMatmul:
-      idx = std::make_unique<index::MatmulSearchIndex>(dim, metric);
+      idx = std::make_unique<index::MatmulSearchIndex>(dim);
       break;
   }
   if (idx != nullptr) idx->SetThreadPool(pool);
@@ -147,18 +143,17 @@ index::RefreshStats PopulateIndex(index::VectorIndex& idx,
 /// Ensures `cache` has one compatible index per slot; returns true when the
 /// existing indexes should be Refresh()ed (false = slots were (re)created
 /// and must be cold-Added). Never called with a null cache.
-bool PrepareCache(IbcIndexCache& cache, IndexBackend backend,
-                  index::Metric metric, size_t dim, size_t slots,
-                  util::ThreadPool* pool) {
-  const bool reuse = cache.Compatible(backend, metric, dim, slots);
+bool PrepareCache(IbcIndexCache& cache, IndexBackend backend, size_t dim,
+                  size_t slots, util::ThreadPool* pool) {
+  const bool reuse = cache.Compatible(backend, dim, slots);
   if (!reuse) {
     cache.Reset();
     cache.backend = backend;
-    cache.metric = metric;
     cache.dim = dim;
     cache.members.reserve(slots);
     for (size_t k = 0; k < slots; ++k) {
-      cache.members.push_back(MakeIbcIndex(backend, dim, metric, pool));
+      cache.members.push_back(
+          MakeIbcIndex(backend, dim, index::Metric::kL2, pool));
     }
   } else {
     for (auto& member : cache.members) member->SetThreadPool(pool);
@@ -173,17 +168,17 @@ void IbcIndexCache::Reset() {
   dim = 0;
 }
 
-bool IbcIndexCache::Compatible(IndexBackend backend_in, index::Metric metric_in,
-                               size_t dim_in, size_t member_count) const {
-  return !members.empty() && backend == backend_in && metric == metric_in &&
-         dim == dim_in && members.size() == member_count;
+bool IbcIndexCache::Compatible(IndexBackend backend_in, size_t dim_in,
+                               size_t member_count) const {
+  return !members.empty() && backend == backend_in && dim == dim_in &&
+         members.size() == member_count;
 }
 
 void IbcIndexCache::SaveWarmState(util::BinaryWriter& writer) const {
   writer.WriteU64(members.size());
   if (members.empty()) return;
   writer.WriteU32(static_cast<uint32_t>(backend));
-  writer.WriteU32(static_cast<uint32_t>(metric));
+  writer.WriteU32(0);  // metric tag: squared L2, the only metric
   writer.WriteU64(dim);
   for (const auto& member : members) member->SaveWarmState(writer);
 }
@@ -199,18 +194,17 @@ util::Status IbcIndexCache::LoadWarmState(util::BinaryReader& reader) {
   const uint64_t dim_in = reader.ReadU64();
   if (!reader.status().ok()) return reader.status();
   if (backend_raw > static_cast<uint32_t>(IndexBackend::kMatmul) ||
-      metric_raw > static_cast<uint32_t>(index::Metric::kCosine)) {
+      metric_raw != 0) {
     return util::Status::Corruption("index cache backend/metric tag");
   }
   if (dim_in == 0 || dim_in > (1u << 24)) {
     return util::Status::Corruption("index cache dim");
   }
   backend = static_cast<IndexBackend>(backend_raw);
-  metric = static_cast<index::Metric>(metric_raw);
   dim = dim_in;
   members.reserve(count);
   for (uint64_t k = 0; k < count; ++k) {
-    auto idx = MakeIbcIndex(backend, dim, metric, nullptr);
+    auto idx = MakeIbcIndex(backend, dim, index::Metric::kL2, nullptr);
     DIAL_RETURN_IF_ERROR(idx->LoadWarmState(reader));
     members.push_back(std::move(idx));
   }
@@ -227,8 +221,8 @@ std::vector<Candidate> IndexByCommittee(BlockerCommittee& committee,
   const size_t n_members = committee.size();
   bool use_refresh = false;
   if (cache != nullptr) {
-    use_refresh = PrepareCache(*cache, config.backend, config.metric,
-                               emb_r.cols(), n_members, pool);
+    use_refresh = PrepareCache(*cache, config.backend, emb_r.cols(),
+                               n_members, pool);
   }
   // Members are independent until the merge, so encode/index/probe runs one
   // member per pool task (this is what keeps IBC's cost nearly flat in N,
@@ -250,7 +244,8 @@ std::vector<Candidate> IndexByCommittee(BlockerCommittee& committee,
       if (cache != nullptr) {
         idx = cache->members[k].get();
       } else {
-        owned = MakeIbcIndex(config.backend, enc_r.cols(), config.metric, pool);
+        owned = MakeIbcIndex(config.backend, enc_r.cols(), index::Metric::kL2,
+                             pool);
         idx = owned.get();
       }
       util::WallTimer timer;
@@ -284,11 +279,10 @@ std::vector<Candidate> DirectKnnCandidates(const la::Matrix& emb_r,
   std::unique_ptr<index::VectorIndex> owned;
   index::VectorIndex* idx;
   if (cache != nullptr) {
-    use_refresh = PrepareCache(*cache, config.backend, config.metric,
-                               emb_r.cols(), 1, pool);
+    use_refresh = PrepareCache(*cache, config.backend, emb_r.cols(), 1, pool);
     idx = cache->members[0].get();
   } else {
-    owned = MakeIbcIndex(config.backend, emb_r.cols(), config.metric, pool);
+    owned = MakeIbcIndex(config.backend, emb_r.cols(), index::Metric::kL2, pool);
     idx = owned.get();
   }
   util::WallTimer timer;

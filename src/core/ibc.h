@@ -8,6 +8,7 @@
 #include "core/committee.h"
 #include "index/vector_index.h"
 #include "util/serialize.h"
+#include "util/status.h"
 #include "util/thread_pool.h"
 
 /// \file
@@ -40,7 +41,9 @@ enum class IndexBackend {
   kMatmul,  // exact, blocked-GEMM scoring (DITTO / Abuzaid et al. [1])
 };
 
-IndexBackend ParseIndexBackend(const std::string& text);
+/// The backend's IndexBackendName spelling; InvalidArgument naming every
+/// backend otherwise.
+util::StatusOr<IndexBackend> ParseIndexBackend(const std::string& text);
 std::string IndexBackendName(IndexBackend backend);
 
 /// All backends, in enum order (used by the backend-ablation bench/tests).
@@ -52,7 +55,6 @@ struct IbcConfig {
   /// Final |cand| (closest pairs kept after the cross-member merge).
   size_t cand_size = 0;  // 0 = keep every retrieved pair
   IndexBackend backend = IndexBackend::kFlat;
-  index::Metric metric = index::Metric::kL2;
   /// Warm-start knobs applied when an IbcIndexCache is passed in.
   index::RefreshOptions refresh;
 };
@@ -60,23 +62,24 @@ struct IbcConfig {
 /// Persistent per-member (or, for DirectKnnCandidates, single) indexes that
 /// survive across retrieval calls. First use cold-builds; every later call
 /// with a compatible configuration Refresh()es instead. A configuration
-/// change (backend/metric/dim/member count) silently drops the cache and
+/// change (backend/dim/member count) silently drops the cache and
 /// cold-builds again.
 struct IbcIndexCache {
   IndexBackend backend = IndexBackend::kFlat;
-  index::Metric metric = index::Metric::kL2;
   size_t dim = 0;
   std::vector<std::unique_ptr<index::VectorIndex>> members;
 
   bool empty() const { return members.empty(); }
   void Reset();
   /// True when the cached indexes can be Refresh()ed for this configuration.
-  bool Compatible(IndexBackend backend_in, index::Metric metric_in,
-                  size_t dim_in, size_t member_count) const;
+  bool Compatible(IndexBackend backend_in, size_t dim_in,
+                  size_t member_count) const;
 
   /// Serializes the members' warm-startable structure (backend-tagged, for
-  /// AL checkpoints). Load recreates the indexes and restores their state;
-  /// non-OK on malformed payloads.
+  /// AL checkpoints). The section also carries a 4-byte metric tag, always
+  /// 0 (squared L2), so checkpoints keep the layout they had when indexes
+  /// took a metric. Load recreates the indexes and restores their state;
+  /// kCorruption on malformed payloads, a nonzero metric tag included.
   void SaveWarmState(util::BinaryWriter& writer) const;
   util::Status LoadWarmState(util::BinaryReader& reader);
 };
@@ -121,6 +124,9 @@ std::vector<data::PairId> CandidatePairs(const std::vector<Candidate>& cand);
 /// Constructs a backend index with the exact per-backend options IBC uses
 /// (PQ subspace fitting etc.). Exposed for the serving layer, which builds
 /// per-member indexes once at bundle-load time and probes them per request.
+/// Every index ranks by squared L2; `metric` can only say so, and stays in
+/// the signature because the dialbench harness passes it. It goes with the
+/// next change to that benchmark's definition.
 std::unique_ptr<index::VectorIndex> MakeIbcIndex(IndexBackend backend, size_t dim,
                                                  index::Metric metric,
                                                  util::ThreadPool* pool = nullptr);

@@ -6,22 +6,23 @@
 
 #include "index/kmeans.h"
 #include "la/kernels.h"
+#include "util/flags.h"
 
 namespace dial::core {
 
-SelectorKind ParseSelector(const std::string& text) {
-  if (text == "random") return SelectorKind::kRandom;
-  if (text == "greedy") return SelectorKind::kGreedy;
-  if (text == "uncertainty") return SelectorKind::kUncertainty;
-  if (text == "qbc") return SelectorKind::kQbc;
-  if (text == "partition2") return SelectorKind::kPartition2;
-  if (text == "partition4") return SelectorKind::kPartition4;
-  if (text == "badge") return SelectorKind::kBadge;
-  if (text == "coreset") return SelectorKind::kCoreset;
-  if (text == "bald") return SelectorKind::kBald;
-  if (text == "diverse") return SelectorKind::kDiverseBatch;
-  DIAL_LOG_FATAL << "Unknown selector '" << text << "'";
-  return SelectorKind::kUncertainty;
+util::StatusOr<SelectorKind> ParseSelector(const std::string& text) {
+  return util::ParseChoice<SelectorKind>(
+      "selector", text,
+      {{"random", SelectorKind::kRandom},
+       {"greedy", SelectorKind::kGreedy},
+       {"uncertainty", SelectorKind::kUncertainty},
+       {"qbc", SelectorKind::kQbc},
+       {"partition2", SelectorKind::kPartition2},
+       {"partition4", SelectorKind::kPartition4},
+       {"badge", SelectorKind::kBadge},
+       {"coreset", SelectorKind::kCoreset},
+       {"bald", SelectorKind::kBald},
+       {"diverse", SelectorKind::kDiverseBatch}});
 }
 
 std::string SelectorName(SelectorKind kind) {

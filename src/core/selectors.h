@@ -7,6 +7,7 @@
 #include "core/ibc.h"
 #include "la/matrix.h"
 #include "util/rng.h"
+#include "util/status.h"
 
 /// \file
 /// Example selection strategies (Sec. 2.3 and 4.7). All operate on the
@@ -31,7 +32,9 @@ enum class SelectorKind {
   kDiverseBatch,  // uncertainty pre-filter + k-means diversity ([73])
 };
 
-SelectorKind ParseSelector(const std::string& text);
+/// The selector's SelectorName spelling; InvalidArgument naming every
+/// selector otherwise.
+util::StatusOr<SelectorKind> ParseSelector(const std::string& text);
 std::string SelectorName(SelectorKind kind);
 
 /// All selectors, in enum order (used by the selector benches).

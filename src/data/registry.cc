@@ -4,11 +4,16 @@
 
 #include "data/dirty.h"
 #include "data/generators.h"
+#include "util/flags.h"
 #include "util/logging.h"
+#include "util/string_util.h"
 
 namespace dial::data {
 
 namespace {
+
+/// Name prefix of the DeepMatcher-style dirty variant of any dataset.
+constexpr std::string_view kDirtyPrefix = "dirty_";
 
 /// Multiplies group counts by the scale factor (at least 8 groups).
 size_t Scaled(size_t base, Scale scale) {
@@ -30,12 +35,11 @@ size_t Scaled(size_t base, Scale scale) {
 
 }  // namespace
 
-Scale ParseScale(const std::string& text) {
-  if (text == "smoke") return Scale::kSmoke;
-  if (text == "small") return Scale::kSmall;
-  if (text == "medium") return Scale::kMedium;
-  DIAL_LOG_FATAL << "Unknown scale '" << text << "' (expected smoke|small|medium)";
-  return Scale::kSmall;
+util::StatusOr<Scale> ParseScale(const std::string& text) {
+  return util::ParseChoice<Scale>("scale", text,
+                                  {{"smoke", Scale::kSmoke},
+                                   {"small", Scale::kSmall},
+                                   {"medium", Scale::kMedium}});
 }
 
 std::string ScaleName(Scale scale) {
@@ -63,10 +67,20 @@ const std::vector<std::string>& AllDatasetNames() {
   return *names;
 }
 
+util::Status CheckDatasetName(const std::string& name) {
+  std::string_view base = name;
+  while (base.rfind(kDirtyPrefix, 0) == 0) base.remove_prefix(kDirtyPrefix.size());
+  for (const std::string& known : AllDatasetNames()) {
+    if (base == known) return util::Status::OK();
+  }
+  return util::Status::InvalidArgument(
+      "unknown dataset '" + name + "' (expected " +
+      util::Join(AllDatasetNames(), "|") + ", or dirty_<name>)");
+}
+
 DatasetBundle MakeDataset(const std::string& name, Scale scale, uint64_t seed) {
   // "dirty_<base>": the DeepMatcher-style dirty variant of any structured
   // dataset (attribute values displaced into wrong columns; data/dirty.h).
-  constexpr std::string_view kDirtyPrefix = "dirty_";
   if (name.rfind(kDirtyPrefix, 0) == 0) {
     DatasetBundle bundle =
         MakeDataset(name.substr(kDirtyPrefix.size()), scale, seed);

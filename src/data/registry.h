@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "data/dataset.h"
+#include "util/status.h"
 
 /// \file
 /// Named dataset configurations mirroring Table 1 of the paper, at CPU
@@ -21,7 +22,8 @@ enum class Scale {
   kMedium,  // closer to paper ratios; slower
 };
 
-Scale ParseScale(const std::string& text);
+/// "smoke" | "small" | "medium"; InvalidArgument naming them otherwise.
+util::StatusOr<Scale> ParseScale(const std::string& text);
 std::string ScaleName(Scale scale);
 
 /// The five benchmark dataset names (Table 1 order).
@@ -29,6 +31,12 @@ const std::vector<std::string>& BenchmarkDatasetNames();
 
 /// All names including "multilingual".
 const std::vector<std::string>& AllDatasetNames();
+
+/// OK when MakeDataset knows `name`: one of AllDatasetNames(), or
+/// "dirty_<name>" for its dirty variant. InvalidArgument naming the
+/// accepted names otherwise — how the tools reject a bad --dataset before
+/// generating anything.
+util::Status CheckDatasetName(const std::string& name);
 
 /// Generates the named dataset. Aborts on unknown name.
 DatasetBundle MakeDataset(const std::string& name, Scale scale, uint64_t seed);

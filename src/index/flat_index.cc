@@ -1,7 +1,6 @@
 #include "index/flat_index.h"
 
 #include <algorithm>
-#include <cmath>
 #include <vector>
 
 #include "index/topk.h"
@@ -17,49 +16,12 @@ constexpr size_t kDbBlock = 256;
 }  // namespace
 
 float VectorIndex::Distance(const float* a, const float* b) const {
-  switch (metric_) {
-    case Metric::kL2:
-      return la::SquaredDistance(a, b, dim_);
-    case Metric::kInnerProduct:
-      return -la::Dot(a, b, dim_);
-    case Metric::kCosine: {
-      const float na = la::Norm(a, dim_);
-      const float nb = la::Norm(b, dim_);
-      if (na == 0.0f || nb == 0.0f) return 0.0f;
-      return -la::Dot(a, b, dim_) / (na * nb);
-    }
-  }
-  return 0.0f;
+  return la::SquaredDistance(a, b, dim_);
 }
 
 void VectorIndex::DistanceBatch(const float* query, const float* rows,
-                                size_t count, float* out,
-                                const float* norms_sq) const {
-  switch (metric_) {
-    case Metric::kL2:
-      la::kernels::SquaredDistanceBatch(query, rows, count, dim_, out);
-      return;
-    case Metric::kInnerProduct:
-      la::kernels::DotBatch(query, rows, count, dim_, out);
-      for (size_t i = 0; i < count; ++i) out[i] = -out[i];
-      return;
-    case Metric::kCosine: {
-      // Mirror the scalar path exactly: -dot / (|q| * |x|), 0 on zero norms.
-      const float nq = la::Norm(query, dim_);
-      la::kernels::DotBatch(query, rows, count, dim_, out);
-      std::vector<float> scratch;
-      if (norms_sq == nullptr) {
-        scratch.resize(count);
-        la::kernels::NormsSquared(rows, count, dim_, scratch.data());
-        norms_sq = scratch.data();
-      }
-      for (size_t i = 0; i < count; ++i) {
-        const float nb = std::sqrt(norms_sq[i]);
-        out[i] = (nq == 0.0f || nb == 0.0f) ? 0.0f : -out[i] / (nq * nb);
-      }
-      return;
-    }
-  }
+                                size_t count, float* out) const {
+  la::kernels::SquaredDistanceBatch(query, rows, count, dim_, out);
 }
 
 void FlatIndex::Add(const la::Matrix& vectors) {
@@ -141,8 +103,7 @@ SearchBatch FlatIndex::Search(const la::Matrix& queries, size_t k) const {
 void FlatIndex::ScoreBlock(const float* tile, size_t tile_rows, size_t row0,
                            size_t rows, float* scores) const {
   for (size_t i = 0; i < tile_rows; ++i) {
-    DistanceBatch(tile + i * dim_, data_.row(row0), rows, scores + i * rows,
-                  norms_sq_.data() + row0);
+    DistanceBatch(tile + i * dim_, data_.row(row0), rows, scores + i * rows);
   }
 }
 

@@ -23,8 +23,8 @@ class FlatIndex : public VectorIndex {
  public:
   /// `pool` (optional, unowned) parallelizes queries across threads — the
   /// constructor form of VectorIndex::SetThreadPool.
-  FlatIndex(size_t dim, Metric metric, util::ThreadPool* pool = nullptr)
-      : VectorIndex(dim, metric) {
+  explicit FlatIndex(size_t dim, util::ThreadPool* pool = nullptr)
+      : VectorIndex(dim) {
     SetThreadPool(pool);
   }
 
@@ -53,9 +53,8 @@ class FlatIndex : public VectorIndex {
                           size_t rows, float* scores) const;
 
   la::Matrix data_;
-  /// Per-row |x|² maintained by Add — lets cosine Search reuse the norms
-  /// instead of recomputing them per query (MatmulSearchIndex's L2 and
-  /// cosine scans read them too).
+  /// Per-row |x|² maintained by Add, for MatmulSearchIndex's GEMM-based
+  /// distance expansion.
   std::vector<float> norms_sq_;
 };
 

@@ -8,8 +8,8 @@
 
 namespace dial::index {
 
-HnswIndex::HnswIndex(size_t dim, Metric metric, Options options)
-    : VectorIndex(dim, metric), options_(options), level_rng_(options.seed) {
+HnswIndex::HnswIndex(size_t dim, Options options)
+    : VectorIndex(dim), options_(options), level_rng_(options.seed) {
   DIAL_CHECK_GT(options_.m, 1u);
   DIAL_CHECK_GT(options_.ef_construction, 0u);
   DIAL_CHECK_GT(options_.ef_search, 0u);
@@ -63,14 +63,6 @@ std::vector<int> HnswIndex::SelectNeighbors(const float* query,
                                             size_t max_links) const {
   std::vector<int> kept;
   kept.reserve(max_links);
-  if (!options_.query_aware_pruning) {
-    // Plain closest-first pruning: take the max_links nearest candidates.
-    for (const Neighbor& cand : candidates) {
-      if (kept.size() >= max_links) break;
-      kept.push_back(cand.id);
-    }
-    return kept;
-  }
   for (const Neighbor& cand : candidates) {  // ascending by distance
     if (kept.size() >= max_links) break;
     // Recomputed from `query` rather than read from cand.distance so the

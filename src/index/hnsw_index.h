@@ -26,15 +26,9 @@ class HnswIndex : public VectorIndex {
     /// Beam width while querying (raised to k when k is larger).
     size_t ef_search = 32;
     uint64_t seed = 37;
-    /// Use the HNSW paper's query-aware diversity pruning (Alg. 4) when
-    /// selecting a node's links: a candidate is kept only if it is closer to
-    /// the query than to every already-kept neighbour. `false` falls back to
-    /// plain closest-first pruning (the seed behaviour) — kept as an ablation
-    /// knob; the heuristic measurably helps recall on clustered data.
-    bool query_aware_pruning = true;
   };
 
-  HnswIndex(size_t dim, Metric metric, Options options);
+  HnswIndex(size_t dim, Options options);
 
   void Add(const la::Matrix& vectors) override;
   size_t size() const override { return data_.rows(); }

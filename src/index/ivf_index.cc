@@ -51,18 +51,7 @@ void IvfIndex::Add(const la::Matrix& vectors) {
   for (size_t i = 0; i < vectors.rows(); ++i) {
     lists_[cell[i]].push_back(static_cast<int>(base + i));
   }
-  // Imbalance check: nearest-centroid routing against frozen centroids can
-  // pile a drifted stream into one cell, collapsing nprobe recall.
-  if (options_.rebalance_threshold > 0.0 && lists_.size() > 1 &&
-      data_.rows() >= 4 * lists_.size()) {
-    size_t max_list = 0;
-    for (const auto& list : lists_) max_list = std::max(max_list, list.size());
-    const double mean =
-        static_cast<double>(data_.rows()) / static_cast<double>(lists_.size());
-    if (static_cast<double>(max_list) > options_.rebalance_threshold * mean) {
-      Rebalance();
-    }
-  }
+  if (ListsImbalanced(lists_, data_.rows())) Rebalance();
 }
 
 void IvfIndex::Rebalance() {

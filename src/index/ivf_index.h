@@ -10,7 +10,7 @@
 /// Inverted-file index (the faiss::IndexIVFFlat analogue): a k-means coarse
 /// quantizer partitions vectors into `nlist` cells; queries scan only the
 /// `nprobe` nearest cells. Approximate — recall/latency trade-off is
-/// exercised in bench_index_micro.
+/// exercised in bench_index_backends.
 
 namespace dial::index {
 
@@ -21,21 +21,15 @@ class IvfIndex : public VectorIndex {
     size_t nprobe = 4;
     size_t train_iterations = 10;
     uint64_t seed = 17;
-    /// Incremental inserts assign to the nearest frozen centroid, which can
-    /// skew the lists when the stream drifts. After a post-training Add, if
-    /// the fullest list exceeds `rebalance_threshold` times the mean
-    /// occupancy (and the index holds at least 4*nlist rows), the centroids
-    /// re-converge with warm Lloyd steps over the stored vectors and the
-    /// lists rebuild from the fresh assignment. <= 0 disables. Deterministic
-    /// either way.
-    double rebalance_threshold = 4.0;
   };
 
-  IvfIndex(size_t dim, Metric metric, Options options)
-      : VectorIndex(dim, metric), options_(options) {}
+  IvfIndex(size_t dim, Options options)
+      : VectorIndex(dim), options_(options) {}
 
   /// First Add() trains the coarse quantizer on the incoming vectors; later
-  /// Adds assign to the existing cells.
+  /// Adds assign to the existing cells, then re-converge the centroids with
+  /// warm Lloyd steps over the stored vectors and rebuild the lists when
+  /// the lists grow imbalanced (ListsImbalanced). Deterministic either way.
   void Add(const la::Matrix& vectors) override;
   /// Streamed build: the coarse quantizer trains on a capped sample instead
   /// of the whole source, then rows are routed chunk by chunk. Note IVF-flat

@@ -10,10 +10,8 @@
 
 namespace dial::index {
 
-IvfPqIndex::IvfPqIndex(size_t dim, Metric metric, Options options)
-    : VectorIndex(dim, metric), options_(options), pq_(dim, options.pq) {
-  DIAL_CHECK(metric == Metric::kL2)
-      << "IvfPqIndex quantizes residuals; only L2 is meaningful";
+IvfPqIndex::IvfPqIndex(size_t dim, Options options)
+    : VectorIndex(dim), options_(options), pq_(dim, options.pq) {
   DIAL_CHECK_GT(options_.nlist, 0u);
 }
 
@@ -113,16 +111,7 @@ void IvfPqIndex::Add(const la::Matrix& vectors) {
     insert_drift_ = std::max(insert_drift_, err / trained_err_);
   }
   EncodeInto(vectors, count_);
-  if (options_.rebalance_threshold > 0.0 && list_ids_.size() > 1 &&
-      count_ >= 4 * list_ids_.size()) {
-    size_t max_list = 0;
-    for (const auto& ids : list_ids_) max_list = std::max(max_list, ids.size());
-    const double mean =
-        static_cast<double>(count_) / static_cast<double>(list_ids_.size());
-    if (static_cast<double>(max_list) > options_.rebalance_threshold * mean) {
-      Rebalance();
-    }
-  }
+  if (ListsImbalanced(list_ids_, count_)) Rebalance();
 }
 
 void IvfPqIndex::Rebalance() {
@@ -322,7 +311,7 @@ SearchBatch IvfPqIndex::Search(const la::Matrix& queries, size_t k) const {
         // ADC table on this cell's residual of the query.
         const float* centroid = centroids_.row(cell.id);
         for (size_t d = 0; d < dim_; ++d) residual[d] = query[d] - centroid[d];
-        pq_.ComputeDistanceTable(residual.data(), /*inner_product=*/false, table);
+        pq_.ComputeDistanceTable(residual.data(), table);
         const std::vector<int>& ids = list_ids_[cell.id];
         const std::vector<uint8_t>& codes = list_codes_[cell.id];
         if (adc.size() < ids.size()) adc.resize(ids.size());

@@ -14,7 +14,7 @@
 /// coarse quantizer routes each vector to a cell, and the *residual*
 /// x - centroid(cell) is product-quantized. Queries probe the `nprobe`
 /// nearest cells, building one ADC table per probed cell on the query's
-/// residual. L2 only, as in FAISS's canonical setup.
+/// residual.
 
 namespace dial::index {
 
@@ -26,20 +26,16 @@ class IvfPqIndex : public VectorIndex {
     size_t train_iterations = 10;
     ProductQuantizer::Options pq;
     uint64_t seed = 29;
-    /// Same imbalance escape hatch as IvfIndex::Options: after a
-    /// post-training Add, if the fullest list exceeds this multiple of the
-    /// mean occupancy (with at least 4*nlist rows stored), re-converge the
-    /// coarse centroids and re-encode. The index stores codes, not raw
-    /// vectors, so the re-balance runs over *reconstructed* vectors
-    /// (centroid + decoded residual) — approximate but deterministic.
-    /// <= 0 disables.
-    double rebalance_threshold = 4.0;
   };
 
-  IvfPqIndex(size_t dim, Metric metric, Options options);
+  IvfPqIndex(size_t dim, Options options);
 
   /// First Add() trains the coarse quantizer and the residual PQ on the
-  /// incoming batch; later batches reuse the trained structures.
+  /// incoming batch; later batches reuse the trained structures, with the
+  /// same imbalance escape hatch as IvfIndex (ListsImbalanced): the coarse
+  /// centroids re-converge and every row re-encodes. The index stores
+  /// codes, not raw vectors, so the re-balance runs over *reconstructed*
+  /// vectors (centroid + decoded residual) — approximate but deterministic.
   void Add(const la::Matrix& vectors) override;
   /// Bounded-memory build: coarse quantizer + residual PQ train on one
   /// capped sample, then rows route/encode chunk by chunk. Residency is
@@ -81,7 +77,7 @@ class IvfPqIndex : public VectorIndex {
   /// distance per centroid.
   size_t NearestCell(const float* x, float* dist) const;
   /// Reconstructs every stored vector, re-converges the coarse centroids
-  /// with warm Lloyd steps, and re-encodes — see Options::rebalance_threshold.
+  /// with warm Lloyd steps, and re-encodes — see Add.
   void Rebalance();
   void EncodeInto(const la::Matrix& vectors, size_t base_id);
   /// Residual-encodes rows whose cells are already known (the Refresh path

@@ -203,4 +203,14 @@ KMeansResult KMeansWarm(const la::Matrix& data, const la::Matrix& init,
   return result;
 }
 
+bool ListsImbalanced(const std::vector<std::vector<int>>& lists, size_t rows) {
+  constexpr double kRebalanceFactor = 4.0;
+  if (lists.size() <= 1 || rows < 4 * lists.size()) return false;
+  size_t max_list = 0;
+  for (const auto& list : lists) max_list = std::max(max_list, list.size());
+  const double mean =
+      static_cast<double>(rows) / static_cast<double>(lists.size());
+  return static_cast<double>(max_list) > kRebalanceFactor * mean;
+}
+
 }  // namespace dial::index

@@ -60,6 +60,15 @@ KMeansResult KMeansSampled(const RowSource& source, size_t k,
 KMeansResult KMeansWarm(const la::Matrix& data, const la::Matrix& init,
                         size_t max_iterations, util::ThreadPool* pool = nullptr);
 
+/// The rebalance test of the inverted files (IvfIndex, IvfPqIndex): their
+/// post-training Adds route rows to the nearest frozen centroid, which can
+/// pile a drifting insert stream into one cell and collapse nprobe recall,
+/// so after such an Add they re-converge their centroids with warm Lloyd
+/// steps when this returns true: the fullest of `lists` (cell -> row ids,
+/// `rows` stored in all) holds more than 4 times the mean occupancy. Only
+/// judged once there are at least two lists and four rows per list.
+bool ListsImbalanced(const std::vector<std::vector<int>>& lists, size_t rows);
+
 }  // namespace dial::index
 
 #endif  // DIAL_INDEX_KMEANS_H_

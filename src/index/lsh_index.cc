@@ -7,8 +7,16 @@
 
 namespace dial::index {
 
-LshIndex::LshIndex(size_t dim, Metric metric, Options options)
-    : VectorIndex(dim, metric), options_(options) {
+namespace {
+/// Warm Refresh keeps the existing hash tables when at most this fraction of
+/// sampled code bits flipped under the new vectors. Buckets are candidate
+/// generators — re-ranking always uses the fresh vectors — so mildly stale
+/// codes cost a sliver of recall while skipping the re-hash entirely.
+constexpr double kMaxStaleBits = 0.02;
+}  // namespace
+
+LshIndex::LshIndex(size_t dim, Options options)
+    : VectorIndex(dim), options_(options) {
   util::Rng rng(options_.seed);
   planes_ = la::Matrix(options_.num_tables * options_.num_bits, dim);
   planes_.RandNormal(rng, 1.0f);
@@ -136,9 +144,9 @@ RefreshStats LshIndex::Refresh(const la::Matrix& vectors,
   stats.warm = true;
   const size_t nt = options_.num_tables;
   const size_t n = vectors.rows();
-  if (options.max_stale_bits > 0.0 && codes_.size() == n * nt) {
+  if (codes_.size() == n * nt) {
     stats.drift = SampledBitFlipFraction(vectors);
-    if (stats.drift <= options.max_stale_bits) {
+    if (stats.drift <= kMaxStaleBits) {
       // Drift regime: the codes barely moved, so the tables stay; queries
       // re-rank against the fresh vectors below. A checkpoint-restored
       // index reaches this point with codes but empty tables — rebuild them

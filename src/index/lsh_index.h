@@ -30,7 +30,7 @@ class LshIndex : public VectorIndex {
     bool exact_fallback = true;
   };
 
-  LshIndex(size_t dim, Metric metric, Options options);
+  LshIndex(size_t dim, Options options);
 
   void Add(const la::Matrix& vectors) override;
   size_t size() const override { return data_.rows(); }
@@ -39,7 +39,7 @@ class LshIndex : public VectorIndex {
   /// Lifecycle: warm refresh keeps the hyperplanes (seed-derived and
   /// data-independent) and first probes a head sample of the new vectors for
   /// flipped sign bits. Under round-to-round embedding drift almost no bits
-  /// flip, so within RefreshOptions::max_stale_bits the existing tables and
+  /// flip, so while at most 2% of sampled bits flip the existing tables and
   /// codes are kept as-is and only the stored vectors swap (queries re-rank
   /// against the fresh vectors, so staleness touches candidate generation
   /// only — RefreshStats::drift reports the flip fraction). Past the

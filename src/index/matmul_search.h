@@ -10,16 +10,15 @@
 /// (Sec. 5.4). Storage, cached norms, the lifecycle and the tiled scan loop
 /// with its top-k selection are FlatIndex's; only the distance hook
 /// differs. Scores for a query tile against a block of stored rows come
-/// from one cache-friendly GEMM, then turn into metric distances. Exact: the
-/// ids match FlatIndex's. L2 distances are evaluated as the expansion
-/// |q|² + |x|² − 2q·x over the GEMM dots, so they are not bit-identical to
-/// FlatIndex's.
+/// from one cache-friendly GEMM, then turn into squared L2 distances by the
+/// expansion |q|² + |x|² − 2q·x. Exact: the ids match FlatIndex's, but the
+/// distances are not bit-identical to its direct scan.
 
 namespace dial::index {
 
 class MatmulSearchIndex final : public FlatIndex {
  public:
-  MatmulSearchIndex(size_t dim, Metric metric) : FlatIndex(dim, metric) {}
+  explicit MatmulSearchIndex(size_t dim) : FlatIndex(dim) {}
 
  protected:
   void ScoreBlock(const float* tile, size_t tile_rows, size_t row0,

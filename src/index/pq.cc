@@ -119,21 +119,15 @@ la::Matrix ProductQuantizer::DecodeBatch(const std::vector<uint8_t>& codes,
   return out;
 }
 
-void ProductQuantizer::ComputeDistanceTable(const float* query, bool inner_product,
+void ProductQuantizer::ComputeDistanceTable(const float* query,
                                             std::vector<float>& table) const {
   DIAL_CHECK(trained()) << "ProductQuantizer distance table before Train";
   const size_t m = options_.num_subspaces;
   table.resize(m * ksub_);
   for (size_t sub = 0; sub < m; ++sub) {
-    const float* q = query + sub * dsub_;
-    const float* book = codebooks_[sub].data();
-    float* row = table.data() + sub * ksub_;
-    if (inner_product) {
-      la::kernels::DotBatch(q, book, ksub_, dsub_, row);
-      for (size_t c = 0; c < ksub_; ++c) row[c] = -row[c];
-    } else {
-      la::kernels::SquaredDistanceBatch(q, book, ksub_, dsub_, row);
-    }
+    la::kernels::SquaredDistanceBatch(query + sub * dsub_,
+                                      codebooks_[sub].data(), ksub_, dsub_,
+                                      table.data() + sub * ksub_);
   }
 }
 

@@ -84,10 +84,8 @@ class ProductQuantizer {
   la::Matrix DecodeBatch(const std::vector<uint8_t>& codes, size_t n) const;
 
   /// Fills `table` (num_subspaces * codebook_size, row-major) with the
-  /// per-subspace squared L2 distances (Metric::kL2) or negated dot products
-  /// (inner-product mode) between `query` and every centroid.
-  void ComputeDistanceTable(const float* query, bool inner_product,
-                            std::vector<float>& table) const;
+  /// per-subspace squared L2 distances between `query` and every centroid.
+  void ComputeDistanceTable(const float* query, std::vector<float>& table) const;
 
   /// ADC lookup: distance between the query behind `table` and one code.
   /// Block-unrolled over subspaces (4 independent partial sums, combined as

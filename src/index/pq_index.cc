@@ -7,11 +7,8 @@
 
 namespace dial::index {
 
-PqIndex::PqIndex(size_t dim, Metric metric, ProductQuantizer::Options options)
-    : VectorIndex(dim, metric), pq_(dim, options) {
-  DIAL_CHECK(metric == Metric::kL2 || metric == Metric::kInnerProduct)
-      << "PqIndex supports L2 and inner product; normalize + IP for cosine";
-}
+PqIndex::PqIndex(size_t dim, ProductQuantizer::Options options)
+    : VectorIndex(dim), pq_(dim, options) {}
 
 void PqIndex::Add(const la::Matrix& vectors) {
   DIAL_CHECK_EQ(vectors.cols(), dim_);
@@ -115,7 +112,6 @@ SearchBatch PqIndex::Search(const la::Matrix& queries, size_t k) const {
   DIAL_CHECK_EQ(queries.cols(), dim_);
   SearchBatch results(queries.rows());
   if (count_ == 0) return results;
-  const bool ip = metric_ == Metric::kInnerProduct;
   util::ParallelFor(pool_, queries.rows(), [&](size_t begin, size_t end) {
     // All scratch is hoisted per chunk and reused across queries: the ADC
     // table, the batched distance buffer, and the top-k heap. The only
@@ -124,7 +120,7 @@ SearchBatch PqIndex::Search(const la::Matrix& queries, size_t k) const {
     std::vector<float> dist(count_);
     TopK topk(k);
     for (size_t q = begin; q < end; ++q) {
-      pq_.ComputeDistanceTable(queries.row(q), ip, table);
+      pq_.ComputeDistanceTable(queries.row(q), table);
       pq_.AdcDistanceBatch(table, codes_.data(), count_, dist.data());
       topk.Reset(k);
       PushRows(topk, dist.data(), count_, [](size_t row) { return row; });

@@ -18,9 +18,7 @@ namespace dial::index {
 
 class PqIndex : public VectorIndex {
  public:
-  /// Supports Metric::kL2 and Metric::kInnerProduct (FAISS parity). Cosine
-  /// callers should L2-normalize and use inner product.
-  PqIndex(size_t dim, Metric metric, ProductQuantizer::Options options);
+  PqIndex(size_t dim, ProductQuantizer::Options options);
 
   /// The first Add() trains the quantizer on the incoming batch; later
   /// batches are encoded with the existing codebooks.

@@ -5,9 +5,8 @@
 
 namespace dial::index {
 
-IndexShard::IndexShard(size_t dim, Metric metric, size_t num_shards,
-                       Factory factory)
-    : VectorIndex(dim, metric), factory_(std::move(factory)) {
+IndexShard::IndexShard(size_t dim, size_t num_shards, Factory factory)
+    : VectorIndex(dim), factory_(std::move(factory)) {
   DIAL_CHECK_GT(num_shards, 0u);
   DIAL_CHECK(factory_ != nullptr);
   shards_.reserve(num_shards);
@@ -15,7 +14,6 @@ IndexShard::IndexShard(size_t dim, Metric metric, size_t num_shards,
     shards_.push_back(factory_());
     DIAL_CHECK(shards_.back() != nullptr);
     DIAL_CHECK_EQ(shards_.back()->dim(), dim);
-    DIAL_CHECK(shards_.back()->metric() == metric) << "factory metric mismatch";
     DIAL_CHECK_EQ(shards_.back()->size(), 0u) << "factory must produce empty indexes";
   }
 }

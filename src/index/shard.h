@@ -38,8 +38,8 @@ class IndexShard : public VectorIndex {
   /// again when a Refresh must rebuild a shard from scratch.
   using Factory = std::function<std::unique_ptr<VectorIndex>()>;
 
-  /// `factory` must produce indexes of the same (dim, metric).
-  IndexShard(size_t dim, Metric metric, size_t num_shards, Factory factory);
+  /// `factory` must produce empty indexes of dimension `dim`.
+  IndexShard(size_t dim, size_t num_shards, Factory factory);
 
   void Add(const la::Matrix& vectors) override;
   /// Rows physically stored across shards (shrinks on Compact). Id routing

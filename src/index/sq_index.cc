@@ -9,10 +9,7 @@
 
 namespace dial::index {
 
-SqIndex::SqIndex(size_t dim, Metric metric) : VectorIndex(dim, metric) {
-  DIAL_CHECK(metric == Metric::kL2 || metric == Metric::kInnerProduct)
-      << "SqIndex supports L2 and inner product; normalize + IP for cosine";
-}
+SqIndex::SqIndex(size_t dim) : VectorIndex(dim) {}
 
 void SqIndex::EncodeRow(const float* x, uint8_t* code) const {
   // inv_scale_ is 0 for degenerate (constant) dimensions, which maps every
@@ -99,7 +96,6 @@ SearchBatch SqIndex::Search(const la::Matrix& queries, size_t k) const {
   DIAL_CHECK_EQ(queries.cols(), dim_);
   SearchBatch results(queries.rows());
   if (count_ == 0) return results;
-  const bool ip = metric_ == Metric::kInnerProduct;
   util::ParallelFor(pool_, queries.rows(), [&](size_t begin, size_t end) {
     // Per-query lookup table: distance contribution of each (dim, code)
     // pair, the scalar-quantization version of ADC. Per-chunk scratch.
@@ -110,7 +106,7 @@ SearchBatch SqIndex::Search(const la::Matrix& queries, size_t k) const {
         float* row = table.data() + d * 256;
         for (size_t c = 0; c < 256; ++c) {
           const float v = DequantizedValue(d, static_cast<uint8_t>(c));
-          row[c] = ip ? -query[d] * v : (query[d] - v) * (query[d] - v);
+          row[c] = (query[d] - v) * (query[d] - v);
         }
       }
       TopK topk(k);

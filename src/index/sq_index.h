@@ -17,9 +17,9 @@ namespace dial::index {
 
 class SqIndex : public VectorIndex {
  public:
-  /// Supports Metric::kL2 and Metric::kInnerProduct. Distances are computed
-  /// against dequantized values (asymmetric: full-precision query).
-  SqIndex(size_t dim, Metric metric);
+  /// Distances are computed against dequantized values (asymmetric:
+  /// full-precision query).
+  explicit SqIndex(size_t dim);
 
   /// First Add() trains the per-dimension ranges; later batches clamp into
   /// the trained ranges.

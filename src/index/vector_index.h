@@ -10,11 +10,12 @@
 
 /// \file
 /// k-nearest-neighbour indexes over dense float vectors — the FAISS
-/// substitute used by Index-By-Committee (DESIGN.md §2). All indexes share
-/// one convention: `Search` returns neighbours ordered by ascending
-/// `distance`, where distance is squared L2 for Metric::kL2 and *negated*
-/// (inner product / cosine) for the similarity metrics, so "smaller is
-/// closer" uniformly.
+/// substitute used by Index-By-Committee (DESIGN.md §2). Every index ranks
+/// by squared L2 distance: `Search` returns neighbours ordered by ascending
+/// `distance`. The paper's cosine alternative (Sec. 3.2.3) needs no metric
+/// of its own: committee members L2-normalize their outputs
+/// (BlockerConfig::normalize_output), and on unit vectors squared L2 is
+/// 2 - 2·cosine, so it ranks the same.
 ///
 /// Every backend optionally runs batch `Search` (and the cheap, deterministic
 /// parts of index construction) data-parallel over an unowned
@@ -50,10 +51,11 @@ namespace dial::index {
 class RowSource;
 class TopK;
 
+/// The one distance every index computes. It survives only as
+/// core::MakeIbcIndex's third parameter, which the dialbench harness still
+/// passes; the parameter goes with the next change to that benchmark.
 enum class Metric {
-  kL2,            // squared Euclidean distance
-  kInnerProduct,  // negated dot product
-  kCosine,        // negated cosine similarity
+  kL2,  // squared Euclidean distance
 };
 
 struct Neighbor {
@@ -87,12 +89,6 @@ struct RefreshOptions {
   /// `drift_threshold` times the error recorded when the structure was
   /// trained. <= 0 disables the check (never retrain).
   double drift_threshold = 2.0;
-  /// LSH only: keep the existing hash tables when at most this fraction of
-  /// sampled code bits flipped under the new vectors. Buckets are candidate
-  /// generators — re-ranking always uses the fresh vectors — so mildly stale
-  /// codes cost a sliver of recall while skipping the re-hash entirely.
-  /// 0 disables the fast path (always re-hash).
-  double max_stale_bits = 0.02;
 };
 
 /// Rows sampled (from the head — embeddings carry no meaningful row order)
@@ -129,14 +125,13 @@ struct RefreshStats {
 
 class VectorIndex {
  public:
-  explicit VectorIndex(size_t dim, Metric metric) : dim_(dim), metric_(metric) {}
+  explicit VectorIndex(size_t dim) : dim_(dim) {}
   virtual ~VectorIndex() = default;
 
   VectorIndex(const VectorIndex&) = delete;
   VectorIndex& operator=(const VectorIndex&) = delete;
 
   size_t dim() const { return dim_; }
-  Metric metric() const { return metric_; }
 
   /// Appends `vectors` (n, dim); row i of the first Add gets id 0, etc.
   virtual void Add(const la::Matrix& vectors) = 0;
@@ -291,21 +286,19 @@ class VectorIndex {
   template <typename RowOf>
   void PushRows(TopK& heap, const float* dist, size_t n, RowOf row_of) const;
 
-  /// Pairwise distance under this index's metric.
+  /// Squared L2 distance between two dim-float vectors.
   float Distance(const float* a, const float* b) const;
 
   /// Fills out[i] = Distance(query, rows + i * dim) for the `count`
-  /// row-major rows at `rows`, via the la/kernels batch scans —
+  /// row-major rows at `rows`, via the la/kernels batch scan —
   /// bit-identical to calling Distance per row, but vectorized. The
   /// exact-scan workhorse behind FlatIndex's ScoreBlock (one call per query
   /// and row block) and the LSH exact fallback (one call over every stored
-  /// row). `norms_sq` (optional, cosine only): those rows' |x|² if the
-  /// caller caches them; nullptr recomputes them on the fly.
+  /// row).
   void DistanceBatch(const float* query, const float* rows, size_t count,
-                     float* out, const float* norms_sq = nullptr) const;
+                     float* out) const;
 
   size_t dim_;
-  Metric metric_;
   util::ThreadPool* pool_ = nullptr;  // unowned; null = inline execution
 
  private:

@@ -136,12 +136,9 @@ Server::~Server() { Stop(); }
 
 util::Status Server::Start() {
   const size_t workers = std::max<size_t>(1, options_.scheduler.num_workers);
-  if (options_.gemm_threads > 1) {
-    gemm_pool_ = std::make_unique<util::ThreadPool>(options_.gemm_threads);
-  }
   contexts_.clear();
   for (size_t i = 0; i < workers; ++i) {
-    contexts_.push_back(std::make_unique<autograd::InferenceContext>(gemm_pool_.get()));
+    contexts_.push_back(std::make_unique<autograd::InferenceContext>());
     contexts_.back()->SetPrecision(options_.precision);
   }
   scheduler_ = std::make_unique<Scheduler>(

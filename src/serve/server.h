@@ -12,7 +12,6 @@
 
 #include "serve/scheduler.h"
 #include "serve/serving_bundle.h"
-#include "util/thread_pool.h"
 
 /// \file
 /// The dial_serve front end: a unix-domain-socket server speaking
@@ -62,12 +61,6 @@ bool SendAll(int fd, const char* data, size_t len);
 struct ServerOptions {
   std::string socket_path;
   SchedulerOptions scheduler;
-  /// Threads in the shared GEMM pool the per-worker InferenceContexts fan
-  /// batched forwards over (0 = inline execution). Concurrent workers can
-  /// safely ParallelFor over one pool — completion is tracked per call, not
-  /// pool-wide — so a fused batch's linear sublayers parallelize while
-  /// another worker's batch is in flight.
-  size_t gemm_threads = 0;
   /// Numeric mode for every worker's inference context (autograd::Precision).
   /// int8 trades the wire-exact match-score parity with in-process fp32
   /// scoring for throughput; fp32 (default) keeps bit-exactness.
@@ -125,9 +118,8 @@ class Server {
   ServingBundle* bundle_;
   ServerOptions options_;
   std::unique_ptr<Scheduler> scheduler_;
-  /// Shared GEMM workers (see ServerOptions::gemm_threads); null = inline.
-  std::unique_ptr<util::ThreadPool> gemm_pool_;
-  /// One context per scheduler worker, indexed by worker_id.
+  /// One context per scheduler worker, indexed by worker_id; each runs its
+  /// batch's forward inline on that worker.
   std::vector<std::unique_ptr<autograd::InferenceContext>> contexts_;
 
   int listen_fd_ = -1;

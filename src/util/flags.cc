@@ -4,7 +4,6 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "util/logging.h"
 #include "util/string_util.h"
 
 namespace dial::util {
@@ -164,8 +163,16 @@ void FlagSet::Parse(int argc, char** argv) {
   }
   const Status s = TryParse(argc, argv);
   if (!s.ok()) {
-    DIAL_LOG_FATAL << s.message() << "\n" << Usage(argv[0]);
+    std::fprintf(stderr, "error: %s\n%s", s.message().c_str(),
+                 Usage(argv[0]).c_str());
+    std::exit(2);
   }
+}
+
+void CheckFlag(const Status& status) {
+  if (status.ok()) return;
+  std::fprintf(stderr, "error: %s\n", status.message().c_str());
+  std::exit(2);
 }
 
 std::string FlagSet::Usage(const std::string& program) const {

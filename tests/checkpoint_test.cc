@@ -8,6 +8,7 @@
 #include "core/checkpoint.h"
 #include "core/experiment.h"
 #include "status_matchers.h"
+#include "util/crc32c.h"
 #include "util/serialize.h"
 
 namespace dial::core {
@@ -198,6 +199,68 @@ TEST(Checkpoint, RejectsVersion3CheckpointWithoutTrailer) {
             util::StatusCode::kCorruption);
   std::remove(path.c_str());
   std::remove(v3_path.c_str());
+}
+
+std::string ReadBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+}
+
+TEST(Checkpoint, CraftedIndexCacheTagsAreCorruptionNotAborts) {
+  // A checkpoint holding a trained pq index cache, whose section header
+  // (u64 member count, u32 backend, u32 metric, u64 dim) is then rewritten
+  // with the CRC32C trailer recomputed, so the bytes reach the parser.
+  IbcIndexCache cache;
+  cache.backend = IndexBackend::kPq;
+  cache.dim = 8;
+  cache.members.push_back(MakeIbcIndex(IndexBackend::kPq, 8, index::Metric::kL2));
+  util::Rng rng(5);
+  la::Matrix vectors(64, 8);
+  vectors.RandNormal(rng, 1.0f);
+  cache.members.back()->Add(vectors);
+  const std::string path = TempPath("ckpt_cache_tags.bin");
+  DIAL_ASSERT_OK(SaveAlCheckpoint(path, SampleCheckpoint(), &cache));
+  const std::string bytes = ReadBytes(path);
+  // Without a cache the section is just a zero member count before the
+  // trailer, so that file's length locates the section in this one.
+  const std::string bare_path = TempPath("ckpt_cache_tags_bare.bin");
+  DIAL_ASSERT_OK(SaveAlCheckpoint(bare_path, SampleCheckpoint()));
+  const size_t backend_at = ReadBytes(bare_path).size() - util::kCrcTrailerBytes;
+  const size_t metric_at = backend_at + sizeof(uint32_t);
+  uint32_t tag = 0;
+  std::memcpy(&tag, &bytes[backend_at], sizeof(tag));
+  ASSERT_EQ(tag, static_cast<uint32_t>(IndexBackend::kPq));
+  std::memcpy(&tag, &bytes[metric_at], sizeof(tag));
+  ASSERT_EQ(tag, 0u);
+  {
+    AlCheckpoint loaded;
+    IbcIndexCache loaded_cache;
+    DIAL_ASSERT_OK(LoadAlCheckpoint(path, &loaded, &loaded_cache));
+    EXPECT_EQ(loaded_cache.members.size(), 1u);
+  }
+
+  const std::string bad_path = TempPath("ckpt_cache_tags_bad.bin");
+  const std::pair<size_t, uint32_t> rewrites[] = {
+      {metric_at, 1}, {metric_at, 2}, {backend_at, 8}};
+  for (const auto& [offset, value] : rewrites) {
+    std::string mutated = bytes;
+    std::memcpy(&mutated[offset], &value, sizeof(value));
+    const size_t payload = mutated.size() - util::kCrcTrailerBytes;
+    const uint32_t crc = util::Crc32c(mutated.data(), payload);
+    std::memcpy(&mutated[payload + sizeof(uint32_t)], &crc, sizeof(crc));
+    std::ofstream out(bad_path, std::ios::binary | std::ios::trunc);
+    out.write(mutated.data(), static_cast<std::streamsize>(mutated.size()));
+    out.close();
+    AlCheckpoint loaded;
+    IbcIndexCache loaded_cache;
+    const util::Status status = LoadAlCheckpoint(bad_path, &loaded, &loaded_cache);
+    EXPECT_EQ(status.code(), util::StatusCode::kCorruption)
+        << "offset " << offset << " value " << value << ": " << status.ToString();
+  }
+  std::remove(path.c_str());
+  std::remove(bare_path.c_str());
+  std::remove(bad_path.c_str());
 }
 
 TEST(Checkpoint, FingerprintSensitivity) {

@@ -271,11 +271,21 @@ TEST(CommitteeDeathTest, LabeledNegativesRequireData) {
 }
 
 TEST(Committee, ParseHelpers) {
-  EXPECT_EQ(ParseObjective("contrastive"), BlockerObjective::kContrastive);
-  EXPECT_EQ(ParseObjective("triplet"), BlockerObjective::kTriplet);
-  EXPECT_EQ(ParseObjective("classification"), BlockerObjective::kClassification);
+  EXPECT_EQ(ParseObjective("contrastive").value(), BlockerObjective::kContrastive);
+  EXPECT_EQ(ParseObjective("triplet").value(), BlockerObjective::kTriplet);
+  EXPECT_EQ(ParseObjective("classification").value(),
+            BlockerObjective::kClassification);
   EXPECT_EQ(ObjectiveName(BlockerObjective::kTriplet), "triplet");
-  EXPECT_EQ(NegativeSourceName(NegativeSource::kRandom), "random");
+  for (const NegativeSource source :
+       {NegativeSource::kRandom, NegativeSource::kLabeled}) {
+    EXPECT_EQ(ParseNegativeSource(NegativeSourceName(source)).value(), source);
+  }
+  // A typo is an error, not a silent fallback to random negatives.
+  const auto typo = ParseNegativeSource("labelled");
+  ASSERT_FALSE(typo.ok());
+  EXPECT_EQ(typo.status().message(),
+            "unknown negative source 'labelled' (expected random|labeled)");
+  EXPECT_FALSE(ParseObjective("nope").ok());
 }
 
 // ------------------------------------------------------------------------ IBC
@@ -346,9 +356,15 @@ TEST(Ibc, ParallelRetrievalMatchesSerial) {
 
 TEST(Ibc, ParseBackendRoundTrips) {
   for (const IndexBackend backend : AllIndexBackends()) {
-    EXPECT_EQ(ParseIndexBackend(IndexBackendName(backend)), backend);
+    EXPECT_EQ(ParseIndexBackend(IndexBackendName(backend)).value(), backend);
   }
   EXPECT_EQ(AllIndexBackends().size(), 8u);
+  const auto unknown = ParseIndexBackend("nope");
+  ASSERT_FALSE(unknown.ok());
+  EXPECT_EQ(unknown.status().code(), util::StatusCode::kInvalidArgument);
+  EXPECT_EQ(unknown.status().message(),
+            "unknown index backend 'nope' "
+            "(expected flat|ivf|lsh|pq|ivfpq|sq|hnsw|matmul)");
 }
 
 TEST(Ibc, BackendsProduceCandidates) {
@@ -363,9 +379,9 @@ TEST(Ibc, BackendsProduceCandidates) {
     const auto cand = DirectKnnCandidates(emb_r, emb_s, ibc);
     EXPECT_FALSE(cand.empty());
   }
-  EXPECT_EQ(ParseIndexBackend("flat"), IndexBackend::kFlat);
-  EXPECT_EQ(ParseIndexBackend("ivf"), IndexBackend::kIvf);
-  EXPECT_EQ(ParseIndexBackend("lsh"), IndexBackend::kLsh);
+  EXPECT_EQ(ParseIndexBackend("flat").value(), IndexBackend::kFlat);
+  EXPECT_EQ(ParseIndexBackend("ivf").value(), IndexBackend::kIvf);
+  EXPECT_EQ(ParseIndexBackend("lsh").value(), IndexBackend::kLsh);
 }
 
 // -------------------------------------------------------------------- matcher

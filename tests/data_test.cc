@@ -140,10 +140,25 @@ TEST(RegistryDeathTest, UnknownNameAborts) {
 }
 
 TEST(Registry, ParseScale) {
-  EXPECT_EQ(ParseScale("smoke"), Scale::kSmoke);
-  EXPECT_EQ(ParseScale("small"), Scale::kSmall);
-  EXPECT_EQ(ParseScale("medium"), Scale::kMedium);
+  EXPECT_EQ(ParseScale("smoke").value(), Scale::kSmoke);
+  EXPECT_EQ(ParseScale("small").value(), Scale::kSmall);
+  EXPECT_EQ(ParseScale("medium").value(), Scale::kMedium);
   EXPECT_EQ(ScaleName(Scale::kSmall), "small");
+  EXPECT_EQ(ParseScale("large").status().message(),
+            "unknown scale 'large' (expected smoke|small|medium)");
+}
+
+TEST(Registry, CheckDatasetNameAcceptsWhatMakeDatasetKnows) {
+  for (const std::string& name : AllDatasetNames()) {
+    EXPECT_TRUE(CheckDatasetName(name).ok()) << name;
+    EXPECT_TRUE(CheckDatasetName("dirty_" + name).ok()) << name;
+  }
+  for (const std::string bad : {"bogus", "dirty_bogus", "", "dirty_"}) {
+    const util::Status status = CheckDatasetName(bad);
+    EXPECT_EQ(status.code(), util::StatusCode::kInvalidArgument) << bad;
+    EXPECT_NE(status.message().find("walmart_amazon|"), std::string::npos)
+        << status.message();
+  }
 }
 
 TEST(Multilingual, AlignedOneToOne) {

@@ -8,7 +8,8 @@
 
 /// \file
 /// FlagSet::TryParse rejection contract: unknown flags, malformed and
-/// missing values, positionals. A typo in a serve launch line or bench
+/// missing values, positionals; and the value checks after parsing
+/// (ParseChoice, CheckFlag). A typo in a serve launch line or bench
 /// sweep script must be a hard error, never a silently-defaulted flag —
 /// util_test.cc covers the happy paths, this suite pins the error paths.
 
@@ -123,6 +124,34 @@ TEST(FlagsTryParse, IntRangeOverflowRejected) {
   int64_t* n = flags.AddInt("n", 1, "");
   EXPECT_FALSE(ParseArgs(flags, {"--n=99999999999999999999999999"}).ok());
   EXPECT_EQ(*n, 1);
+}
+
+enum class Color { kRed, kBlue };
+
+StatusOr<Color> ParseColor(const std::string& text) {
+  return ParseChoice<Color>("color", text,
+                            {{"red", Color::kRed}, {"blue", Color::kBlue}});
+}
+
+TEST(FlagsParseChoice, MapsSpellingsAndNamesEveryChoiceOnError) {
+  EXPECT_EQ(ParseColor("red").value(), Color::kRed);
+  EXPECT_EQ(ParseColor("blue").value(), Color::kBlue);
+  const StatusOr<Color> bad = ParseColor("Red");
+  ASSERT_FALSE(bad.ok());
+  EXPECT_EQ(bad.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(bad.status().message(), "unknown color 'Red' (expected red|blue)");
+}
+
+TEST(FlagsCheckFlag, PassesValuesThrough) {
+  CheckFlag(Status::OK());
+  EXPECT_EQ(CheckFlag(ParseColor("blue")), Color::kBlue);
+}
+
+TEST(FlagsDeathTest, CheckFlagExitsTwoWithTheMessage) {
+  EXPECT_EXIT(CheckFlag(ParseColor("green")), testing::ExitedWithCode(2),
+              "error: unknown color 'green'");
+  EXPECT_EXIT(CheckFlag(Status::InvalidArgument("--a requires --b")),
+              testing::ExitedWithCode(2), "--a requires --b");
 }
 
 }  // namespace

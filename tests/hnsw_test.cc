@@ -19,8 +19,8 @@ la::Matrix RandomVectors(size_t n, size_t d, uint64_t seed) {
 }
 
 double RecallVsFlat(const VectorIndex& index, const la::Matrix& data,
-                    const la::Matrix& queries, size_t k, Metric metric) {
-  FlatIndex flat(data.cols(), metric);
+                    const la::Matrix& queries, size_t k) {
+  FlatIndex flat(data.cols());
   flat.Add(data);
   const SearchBatch truth = flat.Search(queries, k);
   const SearchBatch got = index.Search(queries, k);
@@ -36,14 +36,14 @@ double RecallVsFlat(const VectorIndex& index, const la::Matrix& data,
 }
 
 TEST(HnswIndex, EmptySearch) {
-  HnswIndex index(8, Metric::kL2, {});
+  HnswIndex index(8, {});
   const auto results = index.Search(RandomVectors(3, 8, 1), 5);
   ASSERT_EQ(results.size(), 3u);
   for (const auto& r : results) EXPECT_TRUE(r.empty());
 }
 
 TEST(HnswIndex, SingleVector) {
-  HnswIndex index(4, Metric::kL2, {});
+  HnswIndex index(4, {});
   index.Add(RandomVectors(1, 4, 2));
   const auto results = index.Search(RandomVectors(2, 4, 3), 3);
   for (const auto& r : results) {
@@ -54,7 +54,7 @@ TEST(HnswIndex, SingleVector) {
 
 TEST(HnswIndex, SelfRetrieval) {
   const la::Matrix data = RandomVectors(100, 8, 4);
-  HnswIndex index(8, Metric::kL2, {});
+  HnswIndex index(8, {});
   index.Add(data);
   const auto results = index.Search(data, 1);
   size_t exact = 0;
@@ -74,9 +74,9 @@ TEST(HnswIndex, HighRecallVsExact) {
   options.m = 12;
   options.ef_construction = 100;
   options.ef_search = 64;
-  HnswIndex index(16, Metric::kL2, options);
+  HnswIndex index(16, options);
   index.Add(data);
-  EXPECT_GT(RecallVsFlat(index, data, queries, 10, Metric::kL2), 0.9);
+  EXPECT_GT(RecallVsFlat(index, data, queries, 10), 0.9);
 }
 
 TEST(HnswIndex, RecallGrowsWithEfSearch) {
@@ -85,9 +85,9 @@ TEST(HnswIndex, RecallGrowsWithEfSearch) {
   auto recall_at = [&](size_t ef) {
     HnswIndex::Options options;
     options.ef_search = ef;
-    HnswIndex index(16, Metric::kL2, options);
+    HnswIndex index(16, options);
     index.Add(data);
-    return RecallVsFlat(index, data, queries, 10, Metric::kL2);
+    return RecallVsFlat(index, data, queries, 10);
   };
   EXPECT_GE(recall_at(128) + 0.02, recall_at(8));
   EXPECT_GT(recall_at(128), 0.85);
@@ -108,36 +108,21 @@ la::Matrix Clustered(size_t n, size_t d, size_t clusters, uint64_t seed) {
 }
 
 TEST(HnswIndex, QueryAwarePruningHelpsOnClusteredData) {
-  // The ROADMAP-noted fix: SelectNeighbors now prunes with the HNSW paper's
-  // query-aware diversity heuristic (Alg. 4) instead of ignoring `query`.
-  // Clustered data is where diversity pruning earns its keep — plain
-  // closest-first links trap the beam inside one cluster. The heuristic must
-  // not regress recall, and must clear a healthy floor.
+  // SelectNeighbors prunes with the HNSW paper's query-aware diversity
+  // heuristic (Alg. 4). Clustered data is where diversity pruning earns its
+  // keep — plain closest-first links trap the beam inside one cluster — so
+  // recall on it must clear a healthy floor.
   const la::Matrix data = Clustered(600, 16, 12, 21);
   const la::Matrix queries = Clustered(60, 16, 12, 22);
-  HnswIndex::Options aware;
-  aware.query_aware_pruning = true;  // the default
-  HnswIndex::Options closest_first = aware;
-  closest_first.query_aware_pruning = false;
-
-  HnswIndex with_heuristic(16, Metric::kL2, aware);
-  with_heuristic.Add(data);
-  HnswIndex without_heuristic(16, Metric::kL2, closest_first);
-  without_heuristic.Add(data);
-
-  const double recall_aware =
-      RecallVsFlat(with_heuristic, data, queries, 10, Metric::kL2);
-  const double recall_naive =
-      RecallVsFlat(without_heuristic, data, queries, 10, Metric::kL2);
-  EXPECT_GE(recall_aware + 0.02, recall_naive)
-      << "query-aware pruning regressed recall";
-  EXPECT_GT(recall_aware, 0.8);
+  HnswIndex index(16, {});
+  index.Add(data);
+  EXPECT_GT(RecallVsFlat(index, data, queries, 10), 0.8);
 }
 
 TEST(HnswIndex, ThreadedSearchMatchesInline) {
   const la::Matrix data = Clustered(400, 16, 8, 23);
   const la::Matrix queries = Clustered(50, 16, 8, 24);
-  HnswIndex index(16, Metric::kL2, {});
+  HnswIndex index(16, {});
   index.Add(data);
   const SearchBatch expected = index.Search(queries, 10);
   util::ThreadPool pool(4);
@@ -156,8 +141,8 @@ TEST(HnswIndex, ThreadedSearchMatchesInline) {
 TEST(HnswIndex, DeterministicGivenSeed) {
   const la::Matrix data = RandomVectors(200, 8, 9);
   const la::Matrix queries = RandomVectors(10, 8, 10);
-  HnswIndex a(8, Metric::kL2, {});
-  HnswIndex b(8, Metric::kL2, {});
+  HnswIndex a(8, {});
+  HnswIndex b(8, {});
   a.Add(data);
   b.Add(data);
   const auto ra = a.Search(queries, 5);
@@ -173,7 +158,7 @@ TEST(HnswIndex, DeterministicGivenSeed) {
 TEST(HnswIndex, IncrementalAdd) {
   const la::Matrix a = RandomVectors(100, 8, 11);
   const la::Matrix b = RandomVectors(50, 8, 12);
-  HnswIndex index(8, Metric::kL2, {});
+  HnswIndex index(8, {});
   index.Add(a);
   index.Add(b);
   EXPECT_EQ(index.size(), 150u);
@@ -189,7 +174,7 @@ TEST(HnswIndex, DegreeBounded) {
   const la::Matrix data = RandomVectors(300, 8, 13);
   HnswIndex::Options options;
   options.m = 6;
-  HnswIndex index(8, Metric::kL2, options);
+  HnswIndex index(8, options);
   index.Add(data);
   EXPECT_GT(index.MeanDegree(), 1.0);
   EXPECT_LE(index.MeanDegree(), 12.0);  // layer-0 cap is 2*m
@@ -197,7 +182,7 @@ TEST(HnswIndex, DegreeBounded) {
 }
 
 TEST(HnswIndex, KLargerThanSize) {
-  HnswIndex index(8, Metric::kL2, {});
+  HnswIndex index(8, {});
   index.Add(RandomVectors(5, 8, 14));
   const auto results = index.Search(RandomVectors(1, 8, 15), 20);
   EXPECT_EQ(results[0].size(), 5u);
@@ -206,7 +191,7 @@ TEST(HnswIndex, KLargerThanSize) {
 TEST(HnswIndex, DuplicateVectors) {
   // Many identical points must not break neighbour selection.
   la::Matrix data(20, 4, 1.0f);
-  HnswIndex index(4, Metric::kL2, {});
+  HnswIndex index(4, {});
   index.Add(data);
   la::Matrix query(1, 4, 1.0f);
   const auto results = index.Search(query, 5);
@@ -242,7 +227,7 @@ void CheckEntryInvariants(const HnswIndex& index) {
 
 TEST(HnswIndex, RemovingEntryPointRepairsAnchor) {
   const la::Matrix data = RandomVectors(120, 8, 21);
-  HnswIndex index(8, Metric::kL2, {});
+  HnswIndex index(8, {});
   index.Add(data);
   const la::Matrix queries = RandomVectors(10, 8, 22);
   util::Rng rng(23);
@@ -284,7 +269,7 @@ TEST(HnswIndex, CompactAfterRemovalsKeepsRecall) {
   const la::Matrix queries = RandomVectors(25, 16, 26);
   HnswIndex::Options options;
   options.ef_search = 64;
-  HnswIndex index(16, Metric::kL2, options);
+  HnswIndex index(16, options);
   index.Add(data);
   // Tombstone every third row, compact, and check quality over survivors.
   std::vector<bool> dead(data.rows(), false);
@@ -304,7 +289,7 @@ TEST(HnswIndex, CompactAfterRemovalsKeepsRecall) {
     std::copy(data.row(i), data.row(i) + 16, survivors.row(live_ids.size()));
     live_ids.push_back(static_cast<int>(i));
   }
-  FlatIndex flat(16, Metric::kL2);
+  FlatIndex flat(16);
   flat.Add(survivors);
   const SearchBatch truth = flat.Search(queries, 10);
   const SearchBatch got = index.Search(queries, 10);
@@ -320,63 +305,48 @@ TEST(HnswIndex, CompactAfterRemovalsKeepsRecall) {
   EXPECT_GT(static_cast<double>(hits) / static_cast<double>(total), 0.7);
 }
 
-class HnswMetrics : public testing::TestWithParam<Metric> {};
-
-TEST_P(HnswMetrics, ReasonableRecallUnderEveryMetric) {
-  const Metric metric = GetParam();
+TEST(HnswIndex, ReasonableRecallOnGaussianData) {
   const la::Matrix data = RandomVectors(300, 16, 16);
   const la::Matrix queries = RandomVectors(30, 16, 17);
   HnswIndex::Options options;
   options.ef_search = 64;
-  HnswIndex index(16, metric, options);
+  HnswIndex index(16, options);
   index.Add(data);
-  EXPECT_GT(RecallVsFlat(index, data, queries, 10, metric), 0.7);
+  EXPECT_GT(RecallVsFlat(index, data, queries, 10), 0.7);
 }
-
-INSTANTIATE_TEST_SUITE_P(Metrics, HnswMetrics,
-                         testing::Values(Metric::kL2, Metric::kInnerProduct,
-                                         Metric::kCosine));
 
 // ---------------------------------------------------------------------------
 // Blocked-matmul exact search: must agree with FlatIndex bit-for-bit on ids.
 // The scan tiles 64 queries against 256 stored rows per GEMM, so the shapes
 // below straddle both tile edges.
 
-class MatmulMetrics : public testing::TestWithParam<Metric> {};
-
-TEST_P(MatmulMetrics, ExactlyMatchesFlat) {
-  const Metric metric = GetParam();
+TEST(MatmulSearchIndex, ExactlyMatchesFlat) {
   // 600 rows = blocks of 256 + 256 + 88; 130 queries = tiles of 64 + 64 + 2.
   const la::Matrix data = RandomVectors(600, 8, 18);
   const la::Matrix queries = RandomVectors(130, 8, 19);
-  FlatIndex flat(8, metric);
+  FlatIndex flat(8);
   flat.Add(data);
-  MatmulSearchIndex matmul(8, metric);
+  MatmulSearchIndex matmul(8);
   matmul.Add(data);
   const auto a = flat.Search(queries, 7);
   const auto b = matmul.Search(queries, 7);
   for (size_t q = 0; q < queries.rows(); ++q) {
     ASSERT_EQ(a[q].size(), b[q].size());
     for (size_t i = 0; i < a[q].size(); ++i) {
-      EXPECT_EQ(a[q][i].id, b[q][i].id) << "metric "
-                                        << static_cast<int>(metric) << " q " << q;
+      EXPECT_EQ(a[q][i].id, b[q][i].id) << "q " << q;
       EXPECT_NEAR(a[q][i].distance, b[q][i].distance, 1e-3f);
     }
   }
 }
-
-INSTANTIATE_TEST_SUITE_P(Metrics, MatmulMetrics,
-                         testing::Values(Metric::kL2, Metric::kInnerProduct,
-                                         Metric::kCosine));
 
 TEST(MatmulSearchIndex, TileBoundarySizes) {
   // Rows and queries around the block/tile edges (edge - 1, edge, edge + 1).
   for (const size_t n : {1u, 255u, 256u, 257u, 513u}) {
     for (const size_t m : {1u, 63u, 64u, 65u}) {
       const la::Matrix data = RandomVectors(n, 4, 20 + n);
-      MatmulSearchIndex index(4, Metric::kL2);
+      MatmulSearchIndex index(4);
       index.Add(data);
-      FlatIndex flat(4, Metric::kL2);
+      FlatIndex flat(4);
       flat.Add(data);
       const la::Matrix queries = RandomVectors(m, 4, 40 + n + m);
       const auto a = flat.Search(queries, 3);
@@ -393,7 +363,7 @@ TEST(MatmulSearchIndex, TileBoundarySizes) {
 }
 
 TEST(MatmulSearchIndex, IncrementalAddAcrossBlockBoundary) {
-  MatmulSearchIndex index(4, Metric::kL2);
+  MatmulSearchIndex index(4);
   // 200 + 100 rows: the second Add straddles the 256-row block edge.
   const la::Matrix a = RandomVectors(200, 4, 60);
   const la::Matrix b = RandomVectors(100, 4, 61);
@@ -413,7 +383,7 @@ TEST(MatmulSearchIndex, IncrementalAddAcrossBlockBoundary) {
 }
 
 TEST(MatmulSearchIndex, EmptySearch) {
-  MatmulSearchIndex index(8, Metric::kL2);
+  MatmulSearchIndex index(8);
   const auto results = index.Search(RandomVectors(2, 8, 62), 4);
   ASSERT_EQ(results.size(), 2u);
   EXPECT_TRUE(results[0].empty());

@@ -29,33 +29,33 @@ constexpr size_t kDim = 16;
 std::unique_ptr<VectorIndex> MakeBackend(IndexBackend backend) {
   switch (backend) {
     case IndexBackend::kFlat:
-      return std::make_unique<FlatIndex>(kDim, Metric::kL2);
+      return std::make_unique<FlatIndex>(kDim);
     case IndexBackend::kIvf: {
       IvfIndex::Options options;
       options.nlist = 8;
       options.nprobe = 4;
-      return std::make_unique<IvfIndex>(kDim, Metric::kL2, options);
+      return std::make_unique<IvfIndex>(kDim, options);
     }
     case IndexBackend::kLsh:
-      return std::make_unique<LshIndex>(kDim, Metric::kL2, LshIndex::Options{});
+      return std::make_unique<LshIndex>(kDim, LshIndex::Options{});
     case IndexBackend::kPq: {
       ProductQuantizer::Options options;
       options.num_subspaces = 4;
-      return std::make_unique<PqIndex>(kDim, Metric::kL2, options);
+      return std::make_unique<PqIndex>(kDim, options);
     }
     case IndexBackend::kIvfPq: {
       IvfPqIndex::Options options;
       options.nlist = 8;
       options.nprobe = 8;
       options.pq.num_subspaces = 4;
-      return std::make_unique<IvfPqIndex>(kDim, Metric::kL2, options);
+      return std::make_unique<IvfPqIndex>(kDim, options);
     }
     case IndexBackend::kSq:
-      return std::make_unique<SqIndex>(kDim, Metric::kL2);
+      return std::make_unique<SqIndex>(kDim);
     case IndexBackend::kHnsw:
-      return std::make_unique<HnswIndex>(kDim, Metric::kL2, HnswIndex::Options{});
+      return std::make_unique<HnswIndex>(kDim, HnswIndex::Options{});
     case IndexBackend::kMatmul:
-      return std::make_unique<MatmulSearchIndex>(kDim, Metric::kL2);
+      return std::make_unique<MatmulSearchIndex>(kDim);
   }
   return nullptr;
 }
@@ -169,7 +169,7 @@ TEST_P(AllBackends, RecallFloorOnClusteredData) {
   // well-separated clusters; exact backends must be perfect.
   const la::Matrix data = Clustered(200, 8, 12);
   const la::Matrix queries = Clustered(25, 8, 13);
-  FlatIndex truth(kDim, Metric::kL2);
+  FlatIndex truth(kDim);
   truth.Add(data);
   const SearchBatch expected = truth.Search(queries, 5);
   auto index = MakeBackend(GetParam());
@@ -261,7 +261,7 @@ la::Matrix Drifted(const la::Matrix& data, uint64_t seed, float stddev = 0.1f) {
 
 double RecallVsFlat(VectorIndex& index, const la::Matrix& data,
                     const la::Matrix& queries, size_t k) {
-  FlatIndex truth(kDim, Metric::kL2);
+  FlatIndex truth(kDim);
   truth.Add(data);
   const SearchBatch expected = truth.Search(queries, k);
   const SearchBatch got = index.Search(queries, k);

@@ -18,7 +18,7 @@
 #include "index/sq_index.h"
 
 /// Seeded randomized property/fuzz harness over the whole backend matrix:
-/// (backend x metric x dim in {1, 7, 64} x n in {0, 1, 500} x
+/// (backend x dim in {1, 7, 64} x n in {0, 1, 500} x
 ///  k in {0, 1, n, n+5} x threads in {0, 2, 8}). Every sampled trial asserts
 /// the shared VectorIndex contract — ascending distances, k clamped to n, no
 /// duplicate ids, valid id range, pool/inline bit-identity for build, search
@@ -37,7 +37,6 @@ constexpr uint64_t kSuiteSeed = 0xd1a1f022;
 
 struct Trial {
   IndexBackend backend;
-  Metric metric;
   size_t dim;
   size_t n;
   size_t k;
@@ -45,25 +44,12 @@ struct Trial {
   uint64_t seed;
 
   std::string Describe() const {
-    return core::IndexBackendName(backend) + " metric=" +
-           std::to_string(static_cast<int>(metric)) +
-           " dim=" + std::to_string(dim) + " n=" + std::to_string(n) +
-           " k=" + std::to_string(k) + " threads=" + std::to_string(threads) +
+    return core::IndexBackendName(backend) + " dim=" + std::to_string(dim) +
+           " n=" + std::to_string(n) + " k=" + std::to_string(k) +
+           " threads=" + std::to_string(threads) +
            " seed=" + std::to_string(seed);
   }
 };
-
-bool SupportsMetric(IndexBackend backend, Metric metric) {
-  switch (backend) {
-    case IndexBackend::kPq:
-    case IndexBackend::kSq:
-      return metric != Metric::kCosine;  // normalize + IP per their contract
-    case IndexBackend::kIvfPq:
-      return metric == Metric::kL2;  // residual quantization is L2-only
-    default:
-      return true;
-  }
-}
 
 /// Largest divisor of dim <= want (PQ needs num_subspaces | dim).
 size_t PqSubspacesFor(size_t dim, size_t want) {
@@ -76,33 +62,33 @@ size_t PqSubspacesFor(size_t dim, size_t want) {
 std::unique_ptr<VectorIndex> MakeBackend(const Trial& t) {
   switch (t.backend) {
     case IndexBackend::kFlat:
-      return std::make_unique<FlatIndex>(t.dim, t.metric);
+      return std::make_unique<FlatIndex>(t.dim);
     case IndexBackend::kIvf: {
       IvfIndex::Options options;
       options.nlist = 8;
       options.nprobe = 4;
-      return std::make_unique<IvfIndex>(t.dim, t.metric, options);
+      return std::make_unique<IvfIndex>(t.dim, options);
     }
     case IndexBackend::kLsh:
-      return std::make_unique<LshIndex>(t.dim, t.metric, LshIndex::Options{});
+      return std::make_unique<LshIndex>(t.dim, LshIndex::Options{});
     case IndexBackend::kPq: {
       ProductQuantizer::Options options;
       options.num_subspaces = PqSubspacesFor(t.dim, 4);
-      return std::make_unique<PqIndex>(t.dim, t.metric, options);
+      return std::make_unique<PqIndex>(t.dim, options);
     }
     case IndexBackend::kIvfPq: {
       IvfPqIndex::Options options;
       options.nlist = 8;
       options.nprobe = 8;
       options.pq.num_subspaces = PqSubspacesFor(t.dim, 4);
-      return std::make_unique<IvfPqIndex>(t.dim, t.metric, options);
+      return std::make_unique<IvfPqIndex>(t.dim, options);
     }
     case IndexBackend::kSq:
-      return std::make_unique<SqIndex>(t.dim, t.metric);
+      return std::make_unique<SqIndex>(t.dim);
     case IndexBackend::kHnsw:
-      return std::make_unique<HnswIndex>(t.dim, t.metric, HnswIndex::Options{});
+      return std::make_unique<HnswIndex>(t.dim, HnswIndex::Options{});
     case IndexBackend::kMatmul:
-      return std::make_unique<MatmulSearchIndex>(t.dim, t.metric);
+      return std::make_unique<MatmulSearchIndex>(t.dim);
   }
   return nullptr;
 }
@@ -138,9 +124,16 @@ la::Matrix Drifted(const la::Matrix& data, uint64_t seed) {
 Trial SampleTrial(IndexBackend backend, util::Rng& rng) {
   Trial t;
   t.backend = backend;
+  // Trials used to draw a distance metric first (0 = L2, 1 = inner product,
+  // 2 = cosine; pq and sq redrew cosine, ivfpq everything but L2). Those
+  // draws stay in the stream, so every backend keeps the shapes and seeds
+  // it has always been fuzzed on; every trial now runs L2.
+  uint64_t retired_metric;
   do {
-    t.metric = static_cast<Metric>(rng.UniformInt(3));
-  } while (!SupportsMetric(backend, t.metric));
+    retired_metric = rng.UniformInt(3);
+  } while ((backend == IndexBackend::kIvfPq && retired_metric != 0) ||
+           ((backend == IndexBackend::kPq || backend == IndexBackend::kSq) &&
+            retired_metric == 2));
   const size_t dims[] = {1, 7, 64};
   t.dim = dims[rng.UniformInt(3)];
   const size_t ns[] = {0, 1, 500};
@@ -244,7 +237,7 @@ void RunTrial(const Trial& t) {
   if (t.n > 1 && t.k > 0) {
     auto fresh = MakeBackend(t);
     fresh->Add(drifted);
-    FlatIndex truth(t.dim, t.metric);
+    FlatIndex truth(t.dim);
     truth.Add(drifted);
     const SearchBatch exact = truth.Search(queries, t.k);
     const double r_refresh = Recall(exact, refreshed);
@@ -271,13 +264,12 @@ TEST_P(BackendFuzz, SampledGridHoldsSharedInvariants) {
 
 TEST_P(BackendFuzz, EdgeShapesNeverCrash) {
   // The deterministic corners of the grid, independent of the sampler: every
-  // (dim, n, k) extreme with the backend's default metric.
+  // (dim, n, k) extreme.
   for (const size_t dim : {size_t{1}, size_t{7}}) {
     for (const size_t n : {size_t{0}, size_t{1}}) {
       for (const size_t k : {size_t{0}, size_t{1}, n, n + 5}) {
         Trial t;
         t.backend = GetParam();
-        t.metric = Metric::kL2;
         t.dim = dim;
         t.n = n;
         t.k = k;
@@ -304,7 +296,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 std::unique_ptr<IndexShard> MakeSharded(const Trial& t, size_t num_shards) {
   return std::make_unique<IndexShard>(
-      t.dim, t.metric, num_shards, [t] { return MakeBackend(t); });
+      t.dim, num_shards, [t] { return MakeBackend(t); });
 }
 
 class ShardFuzz : public testing::TestWithParam<IndexBackend> {};
@@ -371,7 +363,6 @@ TEST_P(ShardFuzz, MoreShardsThanRows) {
   // data must also empty previously-filled shards (factory rebuild path).
   Trial t;
   t.backend = GetParam();
-  t.metric = Metric::kL2;
   t.dim = 7;
   t.n = 3;
   t.k = 5;
@@ -462,7 +453,6 @@ TEST_P(StreamedBuildFuzz, OversizedSourceKeepsContract) {
   // training at all).
   Trial t;
   t.backend = GetParam();
-  t.metric = Metric::kL2;
   t.dim = 7;
   t.n = 300;
   t.k = 4;
@@ -505,7 +495,6 @@ TEST_P(StreamedBuildFuzz, TrainSampleAboveRowsAboveChunkBoundary) {
     for (const size_t chunk : {size_t{16}, size_t{33}}) {
       Trial t;
       t.backend = GetParam();
-      t.metric = Metric::kL2;
       t.dim = 7;
       t.n = n;
       t.k = 5;
@@ -758,7 +747,7 @@ void RunLifecycleTrial(const Trial& t, bool compact_during_ops) {
     // fresh-trained build — that staleness is insert_drift()/Refresh
     // territory, while compaction correctness is already pinned bit-exactly
     // by the pre/post-Compact comparison above.
-    FlatIndex truth(t.dim, t.metric);
+    FlatIndex truth(t.dim);
     truth.Add(survivors);
     SearchBatch exact = truth.Search(queries, t.k);
     // Map truth/fresh row ids to external ids for recall comparison.
@@ -823,7 +812,6 @@ TEST(ShardLifecycle, RemoveCompactRouteThroughShards) {
        {IndexBackend::kFlat, IndexBackend::kHnsw, IndexBackend::kPq}) {
     Trial t;
     t.backend = backend;
-    t.metric = Metric::kL2;
     t.dim = 7;
     t.n = 60;
     t.k = 6;

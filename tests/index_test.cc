@@ -25,28 +25,12 @@ la::Matrix RandomVectors(size_t n, size_t d, uint64_t seed) {
 
 /// Brute-force reference kNN over the rows whose id is not in `dead`.
 std::vector<Neighbor> Reference(const la::Matrix& data, const float* query, size_t k,
-                                Metric metric, const std::set<int>& dead = {}) {
+                                const std::set<int>& dead = {}) {
   std::vector<Neighbor> all;
   for (size_t i = 0; i < data.rows(); ++i) {
     if (dead.count(static_cast<int>(i)) != 0) continue;
-    float dist = 0;
-    switch (metric) {
-      case Metric::kL2:
-        dist = la::SquaredDistance(query, data.row(i), data.cols());
-        break;
-      case Metric::kInnerProduct:
-        dist = -la::Dot(query, data.row(i), data.cols());
-        break;
-      case Metric::kCosine: {
-        const float nq = la::Norm(query, data.cols());
-        const float nd = la::Norm(data.row(i), data.cols());
-        dist = (nq == 0 || nd == 0)
-                   ? 0.0f
-                   : -la::Dot(query, data.row(i), data.cols()) / (nq * nd);
-        break;
-      }
-    }
-    all.push_back({static_cast<int>(i), dist});
+    all.push_back({static_cast<int>(i),
+                   la::SquaredDistance(query, data.row(i), data.cols())});
   }
   const size_t kept = std::min(k, all.size());
   std::partial_sort(all.begin(), all.begin() + kept, all.end());
@@ -143,15 +127,13 @@ TEST(TopK, ThresholdTracksWorst) {
   EXPECT_FLOAT_EQ(topk.Threshold(), 3.0f);
 }
 
-class FlatIndexMetrics : public testing::TestWithParam<Metric> {};
-
 /// Asserts ids and distance bits equal the brute-force reference.
 void ExpectMatchesReference(const SearchBatch& results, const la::Matrix& data,
-                            const la::Matrix& queries, size_t k, Metric metric,
+                            const la::Matrix& queries, size_t k,
                             const std::set<int>& dead, const std::string& shape) {
   ASSERT_EQ(results.size(), queries.rows()) << shape;
   for (size_t q = 0; q < queries.rows(); ++q) {
-    const auto expected = Reference(data, queries.row(q), k, metric, dead);
+    const auto expected = Reference(data, queries.row(q), k, dead);
     ASSERT_EQ(results[q].size(), expected.size()) << shape << " query " << q;
     for (size_t i = 0; i < expected.size(); ++i) {
       EXPECT_EQ(results[q][i].id, expected[i].id)
@@ -162,20 +144,18 @@ void ExpectMatchesReference(const SearchBatch& results, const la::Matrix& data,
   }
 }
 
-TEST_P(FlatIndexMetrics, MatchesBruteForce) {
+TEST(FlatIndex, MatchesBruteForce) {
   // Stored rows around the 16-row kernel groups and the 256-row scan
   // blocks, queries around the 64-query tiles, dims with and without a
   // 16-lane chunk and a dim tail.
-  const Metric metric = GetParam();
   for (const size_t n : {1u, 15u, 16u, 17u, 255u, 256u, 257u, 600u}) {
     for (const size_t nq : {1u, 63u, 64u, 65u}) {
       for (const size_t d : {8u, 32u, 33u}) {
         const la::Matrix data = RandomVectors(n, d, 1 + n * 3 + d);
         const la::Matrix queries = RandomVectors(nq, d, 2 + nq * 5 + d);
-        FlatIndex index(d, metric);
+        FlatIndex index(d);
         index.Add(data);
-        ExpectMatchesReference(index.Search(queries, 5), data, queries, 5,
-                               metric, {},
+        ExpectMatchesReference(index.Search(queries, 5), data, queries, 5, {},
                                "n=" + std::to_string(n) + " q=" +
                                    std::to_string(nq) + " d=" + std::to_string(d));
       }
@@ -183,32 +163,27 @@ TEST_P(FlatIndexMetrics, MatchesBruteForce) {
   }
 }
 
-TEST_P(FlatIndexMetrics, MatchesBruteForceWithTombstonesAndAfterCompact) {
-  const Metric metric = GetParam();
+TEST(FlatIndex, MatchesBruteForceWithTombstonesAndAfterCompact) {
   const la::Matrix data = RandomVectors(600, 33, 41);
   const la::Matrix queries = RandomVectors(65, 33, 43);
-  FlatIndex index(33, metric);
+  FlatIndex index(33);
   index.Add(data);
   // Every third row plus a run across the first block boundary.
   std::set<int> dead;
   for (int id = 1; id < 600; id += 3) dead.insert(id);
   for (int id = 250; id < 270; ++id) dead.insert(id);
   for (const int id : dead) index.Remove(id);
-  ExpectMatchesReference(index.Search(queries, 7), data, queries, 7, metric,
-                         dead, "tombstones");
+  ExpectMatchesReference(index.Search(queries, 7), data, queries, 7, dead,
+                         "tombstones");
   index.Compact();
-  ExpectMatchesReference(index.Search(queries, 7), data, queries, 7, metric,
-                         dead, "compacted");
+  ExpectMatchesReference(index.Search(queries, 7), data, queries, 7, dead,
+                         "compacted");
 }
-
-INSTANTIATE_TEST_SUITE_P(Metrics, FlatIndexMetrics,
-                         testing::Values(Metric::kL2, Metric::kInnerProduct,
-                                         Metric::kCosine));
 
 TEST(FlatIndex, IncrementalAdd) {
   const la::Matrix a = RandomVectors(5, 4, 3);
   const la::Matrix b = RandomVectors(7, 4, 4);
-  FlatIndex index(4, Metric::kL2);
+  FlatIndex index(4);
   index.Add(a);
   index.Add(b);
   EXPECT_EQ(index.size(), 12u);
@@ -222,7 +197,7 @@ TEST(FlatIndex, IncrementalAdd) {
 
 TEST(FlatIndex, SelfRetrieval) {
   const la::Matrix data = RandomVectors(30, 6, 5);
-  FlatIndex index(6, Metric::kL2);
+  FlatIndex index(6);
   index.Add(data);
   const auto results = index.Search(data, 1);
   for (size_t i = 0; i < data.rows(); ++i) {
@@ -240,7 +215,7 @@ TEST(FlatIndex, NonFiniteDistancesMatchPushingEveryRow) {
   for (const size_t row : {3u, 40u, 257u}) data(row, 5) = inf;
   for (const size_t row : {7u, 120u, 256u, 299u}) data(row, 2) = nan;
   const la::Matrix queries = RandomVectors(9, 16, 53);
-  FlatIndex index(16, Metric::kL2);
+  FlatIndex index(16);
   index.Add(data);
   for (const size_t k : {1u, 3u, 10u, 400u}) {
     const SearchBatch results = index.Search(queries, k);
@@ -266,10 +241,10 @@ TEST(FlatIndex, NonFiniteDistancesMatchPushingEveryRow) {
 TEST(FlatIndex, ParallelMatchesSerial) {
   const la::Matrix data = RandomVectors(50, 8, 6);
   const la::Matrix queries = RandomVectors(20, 8, 7);
-  FlatIndex serial(8, Metric::kL2);
+  FlatIndex serial(8);
   serial.Add(data);
   util::ThreadPool pool(2);
-  FlatIndex parallel(8, Metric::kL2, &pool);
+  FlatIndex parallel(8, &pool);
   parallel.Add(data);
   const auto a = serial.Search(queries, 4);
   const auto b = parallel.Search(queries, 4);
@@ -333,11 +308,11 @@ TEST(IvfIndex, ExactWhenProbingAllCells) {
   IvfIndex::Options options;
   options.nlist = 8;
   options.nprobe = 8;  // probe everything -> exact
-  IvfIndex index(8, Metric::kL2, options);
+  IvfIndex index(8, options);
   index.Add(data);
   const auto results = index.Search(queries, 3);
   for (size_t q = 0; q < queries.rows(); ++q) {
-    const auto expected = Reference(data, queries.row(q), 3, Metric::kL2);
+    const auto expected = Reference(data, queries.row(q), 3);
     ASSERT_EQ(results[q].size(), 3u);
     for (size_t i = 0; i < 3; ++i) EXPECT_EQ(results[q][i].id, expected[i].id);
   }
@@ -348,14 +323,14 @@ TEST(IvfIndex, ApproximateRecallReasonable) {
   IvfIndex::Options options;
   options.nlist = 16;
   options.nprobe = 4;
-  IvfIndex index(8, Metric::kL2, options);
+  IvfIndex index(8, options);
   index.Add(data);
   const la::Matrix queries = RandomVectors(50, 8, 17);
   const auto results = index.Search(queries, 5);
   size_t hits = 0;
   size_t total = 0;
   for (size_t q = 0; q < queries.rows(); ++q) {
-    const auto expected = Reference(data, queries.row(q), 5, Metric::kL2);
+    const auto expected = Reference(data, queries.row(q), 5);
     std::set<int> expected_ids;
     for (const auto& nb : expected) expected_ids.insert(nb.id);
     for (const auto& nb : results[q]) hits += expected_ids.count(nb.id);
@@ -367,7 +342,7 @@ TEST(IvfIndex, ApproximateRecallReasonable) {
 TEST(IvfIndex, IncrementalAddAfterTraining) {
   const la::Matrix a = RandomVectors(50, 4, 18);
   const la::Matrix b = RandomVectors(10, 4, 19);
-  IvfIndex index(4, Metric::kL2, {});
+  IvfIndex index(4, {});
   index.Add(a);
   index.Add(b);
   EXPECT_EQ(index.size(), 60u);
@@ -379,7 +354,7 @@ TEST(IvfIndex, IncrementalAddAfterTraining) {
 
 TEST(LshIndex, SelfRetrieval) {
   const la::Matrix data = RandomVectors(40, 8, 20);
-  LshIndex index(8, Metric::kL2, {});
+  LshIndex index(8, {});
   index.Add(data);
   const auto results = index.Search(data, 1);
   for (size_t i = 0; i < data.rows(); ++i) {
@@ -390,7 +365,7 @@ TEST(LshIndex, SelfRetrieval) {
 
 TEST(LshIndex, ReturnsSubsetOfDataIds) {
   const la::Matrix data = RandomVectors(30, 8, 21);
-  LshIndex index(8, Metric::kL2, {});
+  LshIndex index(8, {});
   index.Add(data);
   const la::Matrix queries = RandomVectors(5, 8, 22);
   for (const auto& neighbors : index.Search(queries, 10)) {
@@ -403,7 +378,7 @@ TEST(LshIndex, ReturnsSubsetOfDataIds) {
 
 TEST(LshIndex, BucketDiagnostics) {
   const la::Matrix data = RandomVectors(100, 8, 23);
-  LshIndex index(8, Metric::kL2, {});
+  LshIndex index(8, {});
   index.Add(data);
   EXPECT_GT(index.MeanBucketSize(), 0.0);
 }
@@ -417,11 +392,11 @@ TEST(LshIndex, ExactFallbackCoversEmptyBucketQueries) {
   const la::Matrix data = RandomVectors(2, 8, 24);
   LshIndex::Options bare;  // multiprobe on, fallback off: differs from the
   bare.exact_fallback = false;  // full config only in the branch under test
-  LshIndex without(8, Metric::kL2, bare);
+  LshIndex without(8, bare);
   without.Add(data);
-  LshIndex with(8, Metric::kL2, {});  // defaults: multiprobe + fallback on
+  LshIndex with(8, {});  // defaults: multiprobe + fallback on
   with.Add(data);
-  FlatIndex truth(8, Metric::kL2);
+  FlatIndex truth(8);
   truth.Add(data);
 
   const la::Matrix queries = RandomVectors(4, 8, 25);

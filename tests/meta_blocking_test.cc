@@ -258,12 +258,14 @@ TEST(MetaBlockParse, RoundTrips) {
   for (const EdgeWeighting w :
        {EdgeWeighting::kCbs, EdgeWeighting::kJs, EdgeWeighting::kEcbs,
         EdgeWeighting::kArcs, EdgeWeighting::kChiSquare}) {
-    EXPECT_EQ(ParseEdgeWeighting(EdgeWeightingName(w)), w);
+    EXPECT_EQ(ParseEdgeWeighting(EdgeWeightingName(w)).value(), w);
   }
   for (const PruningScheme p : {PruningScheme::kWep, PruningScheme::kCep,
                                 PruningScheme::kWnp, PruningScheme::kCnp}) {
-    EXPECT_EQ(ParsePruningScheme(PruningSchemeName(p)), p);
+    EXPECT_EQ(ParsePruningScheme(PruningSchemeName(p)).value(), p);
   }
+  EXPECT_FALSE(ParseEdgeWeighting("nope").ok());
+  EXPECT_FALSE(ParsePruningScheme("nope").ok());
 }
 
 TEST(JedaiWithSchemes, EverySchemeCombinationCompletes) {

@@ -42,7 +42,7 @@ la::Matrix ClusteredVectors(size_t n, size_t d, size_t clusters, uint64_t seed) 
 
 double RecallVsFlat(const VectorIndex& index, const la::Matrix& data,
                     const la::Matrix& queries, size_t k) {
-  FlatIndex flat(data.cols(), Metric::kL2);
+  FlatIndex flat(data.cols());
   flat.Add(data);
   const SearchBatch truth = flat.Search(queries, k);
   const SearchBatch got = index.Search(queries, k);
@@ -199,29 +199,12 @@ TEST(ProductQuantizer, AdcEqualsDistanceToReconstruction) {
   const la::Matrix recon = pq.DecodeBatch(codes, data.rows());
   std::vector<float> table;
   for (size_t q = 0; q < queries.rows(); ++q) {
-    pq.ComputeDistanceTable(queries.row(q), /*inner_product=*/false, table);
+    pq.ComputeDistanceTable(queries.row(q), table);
     for (size_t i = 0; i < data.rows(); ++i) {
       const float adc = pq.AdcDistance(table, codes.data() + i * pq.code_size());
       const float exact =
           la::SquaredDistance(queries.row(q), recon.row(i), 8);
       EXPECT_NEAR(adc, exact, 1e-3f);
-    }
-  }
-}
-
-TEST(ProductQuantizer, InnerProductTableMatchesReconstruction) {
-  const la::Matrix data = RandomVectors(40, 8, 8);
-  const la::Matrix queries = RandomVectors(4, 8, 9);
-  ProductQuantizer pq(8, {});
-  pq.Train(data);
-  const std::vector<uint8_t> codes = pq.EncodeBatch(data);
-  const la::Matrix recon = pq.DecodeBatch(codes, data.rows());
-  std::vector<float> table;
-  for (size_t q = 0; q < queries.rows(); ++q) {
-    pq.ComputeDistanceTable(queries.row(q), /*inner_product=*/true, table);
-    for (size_t i = 0; i < data.rows(); ++i) {
-      const float adc = pq.AdcDistance(table, codes.data() + i * pq.code_size());
-      EXPECT_NEAR(adc, -la::Dot(queries.row(q), recon.row(i), 8), 1e-3f);
     }
   }
 }
@@ -241,7 +224,7 @@ TEST(ProductQuantizer, AdcDistanceMatchesNaiveReference) {
     const std::vector<uint8_t> codes = pq.EncodeBatch(data);
     std::vector<float> table;
     for (size_t q = 0; q < queries.rows(); ++q) {
-      pq.ComputeDistanceTable(queries.row(q), /*inner_product=*/false, table);
+      pq.ComputeDistanceTable(queries.row(q), table);
       for (size_t i = 0; i < data.rows(); ++i) {
         const uint8_t* code = codes.data() + i * pq.code_size();
         float naive = 0.0f;
@@ -272,7 +255,7 @@ TEST(ProductQuantizer, AdcDistanceBatchBitIdenticalToScalar) {
     std::vector<float> table;
     std::vector<float> batch(data.rows());
     for (size_t q = 0; q < queries.rows(); ++q) {
-      pq.ComputeDistanceTable(queries.row(q), /*inner_product=*/false, table);
+      pq.ComputeDistanceTable(queries.row(q), table);
       pq.AdcDistanceBatch(table, codes.data(), data.rows(), batch.data());
       for (size_t i = 0; i < data.rows(); ++i) {
         EXPECT_EQ(batch[i],
@@ -298,18 +281,14 @@ TEST(ProductQuantizer, DistanceTableBitIdenticalToPerCentroidKernel) {
     ASSERT_EQ(pq.codebook_size(), 64u);
     std::vector<float> table;
     for (size_t q = 0; q < queries.rows(); ++q) {
-      for (const bool ip : {false, true}) {
-        pq.ComputeDistanceTable(queries.row(q), ip, table);
-        for (size_t sub = 0; sub < pq.num_subspaces(); ++sub) {
-          const float* x = queries.row(q) + sub * dsub;
-          for (size_t c = 0; c < pq.codebook_size(); ++c) {
-            const float* centroid = pq.codebook(sub).row(c);
-            const float want = ip ? -la::Dot(x, centroid, dsub)
-                                  : la::SquaredDistance(x, centroid, dsub);
-            EXPECT_TRUE(SameBits(table[sub * pq.codebook_size() + c], want))
-                << "dsub=" << dsub << " ip=" << ip << " sub=" << sub
-                << " c=" << c;
-          }
+      pq.ComputeDistanceTable(queries.row(q), table);
+      for (size_t sub = 0; sub < pq.num_subspaces(); ++sub) {
+        const float* x = queries.row(q) + sub * dsub;
+        for (size_t c = 0; c < pq.codebook_size(); ++c) {
+          const float want =
+              la::SquaredDistance(x, pq.codebook(sub).row(c), dsub);
+          EXPECT_TRUE(SameBits(table[sub * pq.codebook_size() + c], want))
+              << "dsub=" << dsub << " sub=" << sub << " c=" << c;
         }
       }
     }
@@ -390,12 +369,8 @@ TEST(ProductQuantizer, SymmetricDistanceProperties) {
   }
 }
 
-TEST(PqIndex, RejectsCosine) {
-  EXPECT_DEATH(PqIndex(8, Metric::kCosine, {}), "inner product");
-}
-
 TEST(PqIndex, EmptySearch) {
-  PqIndex index(8, Metric::kL2, {});
+  PqIndex index(8, {});
   const la::Matrix queries = RandomVectors(3, 8, 11);
   const SearchBatch results = index.Search(queries, 5);
   ASSERT_EQ(results.size(), 3u);
@@ -403,7 +378,7 @@ TEST(PqIndex, EmptySearch) {
 }
 
 TEST(PqIndex, KLargerThanSize) {
-  PqIndex index(8, Metric::kL2, {});
+  PqIndex index(8, {});
   index.Add(RandomVectors(4, 8, 12));
   const auto results = index.Search(RandomVectors(1, 8, 13), 10);
   EXPECT_EQ(results[0].size(), 4u);
@@ -415,7 +390,7 @@ TEST(PqIndex, HighRecallOnClusteredData) {
   ProductQuantizer::Options options;
   options.num_subspaces = 4;
   options.bits_per_code = 6;
-  PqIndex index(16, Metric::kL2, options);
+  PqIndex index(16, options);
   index.Add(data);
   EXPECT_GT(RecallVsFlat(index, data, queries, 10), 0.6);
 }
@@ -423,7 +398,7 @@ TEST(PqIndex, HighRecallOnClusteredData) {
 TEST(PqIndex, CompressionIsEightBytesPerVector) {
   ProductQuantizer::Options options;
   options.num_subspaces = 8;
-  PqIndex index(32, Metric::kL2, options);
+  PqIndex index(32, options);
   index.Add(RandomVectors(100, 32, 16));
   EXPECT_EQ(index.code_bytes(), 800u);  // vs 100 * 32 * 4 = 12800 raw
   EXPECT_EQ(index.size(), 100u);
@@ -432,7 +407,7 @@ TEST(PqIndex, CompressionIsEightBytesPerVector) {
 TEST(PqIndex, IncrementalAddReusesCodebooks) {
   const la::Matrix a = RandomVectors(80, 8, 17);
   const la::Matrix b = RandomVectors(20, 8, 18);
-  PqIndex index(8, Metric::kL2, {});
+  PqIndex index(8, {});
   index.Add(a);
   index.Add(b);
   EXPECT_EQ(index.size(), 100u);
@@ -448,7 +423,7 @@ TEST(PqIndex, IncrementalAddReusesCodebooks) {
 }
 
 TEST(PqIndex, ResultsSortedAscending) {
-  PqIndex index(8, Metric::kL2, {});
+  PqIndex index(8, {});
   index.Add(RandomVectors(50, 8, 19));
   for (const auto& neighbors : index.Search(RandomVectors(6, 8, 20), 8)) {
     for (size_t i = 1; i < neighbors.size(); ++i) {
@@ -457,12 +432,8 @@ TEST(PqIndex, ResultsSortedAscending) {
   }
 }
 
-TEST(IvfPqIndex, RejectsNonL2) {
-  EXPECT_DEATH(IvfPqIndex(8, Metric::kInnerProduct, {}), "L2");
-}
-
 TEST(IvfPqIndex, EmptySearch) {
-  IvfPqIndex index(8, Metric::kL2, {});
+  IvfPqIndex index(8, {});
   const auto results = index.Search(RandomVectors(2, 8, 21), 3);
   ASSERT_EQ(results.size(), 2u);
   EXPECT_TRUE(results[0].empty());
@@ -476,7 +447,7 @@ TEST(IvfPqIndex, RecallImprovesWithNprobe) {
     options.nlist = 12;
     options.nprobe = nprobe;
     options.pq.num_subspaces = 4;
-    IvfPqIndex index(16, Metric::kL2, options);
+    IvfPqIndex index(16, options);
     index.Add(data);
     return RecallVsFlat(index, data, queries, 10);
   };
@@ -491,7 +462,7 @@ TEST(IvfPqIndex, IncrementalAdd) {
   const la::Matrix b = ClusteredVectors(40, 8, 6, 25);
   IvfPqIndex::Options options;
   options.pq.num_subspaces = 2;
-  IvfPqIndex index(8, Metric::kL2, options);
+  IvfPqIndex index(8, options);
   index.Add(a);
   index.Add(b);
   EXPECT_EQ(index.size(), 240u);
@@ -511,13 +482,13 @@ TEST(IvfPqIndex, ResidualQuantizationBeatsPlainPqOnSpreadClusters) {
   ProductQuantizer::Options pq_options;
   pq_options.num_subspaces = 2;
   pq_options.bits_per_code = 4;
-  PqIndex pq(16, Metric::kL2, pq_options);
+  PqIndex pq(16, pq_options);
   pq.Add(data);
   IvfPqIndex::Options ivf_options;
   ivf_options.nlist = 16;
   ivf_options.nprobe = 16;  // exhaustive probing isolates quantization error
   ivf_options.pq = pq_options;
-  IvfPqIndex ivfpq(16, Metric::kL2, ivf_options);
+  IvfPqIndex ivfpq(16, ivf_options);
   ivfpq.Add(data);
   EXPECT_GE(RecallVsFlat(ivfpq, data, queries, 10) + 0.05,
             RecallVsFlat(pq, data, queries, 10));
@@ -525,12 +496,8 @@ TEST(IvfPqIndex, ResidualQuantizationBeatsPlainPqOnSpreadClusters) {
 
 // ------------------------------------------------------ scalar quantizer
 
-TEST(SqIndex, RejectsCosine) {
-  EXPECT_DEATH(SqIndex(8, Metric::kCosine), "inner product");
-}
-
 TEST(SqIndex, EmptySearch) {
-  SqIndex index(8, Metric::kL2);
+  SqIndex index(8);
   const auto results = index.Search(RandomVectors(2, 8, 40), 3);
   ASSERT_EQ(results.size(), 2u);
   EXPECT_TRUE(results[0].empty());
@@ -540,7 +507,7 @@ TEST(SqIndex, QuantizationErrorBoundedByStepSize) {
   // Linear 8-bit quantization: per-dimension error <= step/2, so the total
   // squared error is <= dim * (range/256/2)^2 on training data.
   const la::Matrix data = RandomVectors(200, 8, 41);
-  SqIndex index(8, Metric::kL2);
+  SqIndex index(8);
   index.Add(data);
   float max_range = 0.0f;
   for (size_t d = 0; d < 8; ++d) {
@@ -560,13 +527,13 @@ TEST(SqIndex, NearExactRecall) {
   // data (quantization error is tiny relative to inter-point distances).
   const la::Matrix data = RandomVectors(300, 16, 42);
   const la::Matrix queries = RandomVectors(30, 16, 43);
-  SqIndex index(16, Metric::kL2);
+  SqIndex index(16);
   index.Add(data);
   EXPECT_GT(RecallVsFlat(index, data, queries, 10), 0.95);
 }
 
 TEST(SqIndex, FourfoldCompression) {
-  SqIndex index(32, Metric::kL2);
+  SqIndex index(32);
   index.Add(RandomVectors(100, 32, 44));
   EXPECT_EQ(index.code_bytes(), 3200u);  // vs 12800 raw float bytes
 }
@@ -574,7 +541,7 @@ TEST(SqIndex, FourfoldCompression) {
 TEST(SqIndex, IncrementalAddClampsToTrainedRange) {
   const la::Matrix a = RandomVectors(50, 4, 45);
   la::Matrix outlier(1, 4, 1000.0f);  // far outside trained range: clamped
-  SqIndex index(4, Metric::kL2);
+  SqIndex index(4);
   index.Add(a);
   index.Add(outlier);
   EXPECT_EQ(index.size(), 51u);
@@ -582,23 +549,6 @@ TEST(SqIndex, IncrementalAddClampsToTrainedRange) {
   const auto results = index.Search(RandomVectors(1, 4, 46), 51);
   ASSERT_EQ(results[0].size(), 51u);
   EXPECT_EQ(results[0].back().id, 50);
-}
-
-TEST(SqIndex, InnerProductMatchesDequantizedScores) {
-  const la::Matrix data = RandomVectors(60, 8, 47);
-  const la::Matrix queries = RandomVectors(5, 8, 48);
-  SqIndex sq(8, Metric::kInnerProduct);
-  sq.Add(data);
-  FlatIndex flat(8, Metric::kInnerProduct);
-  flat.Add(data);
-  // Rankings agree on the top hit almost always at 8-bit precision.
-  const auto a = sq.Search(queries, 1);
-  const auto b = flat.Search(queries, 1);
-  size_t agree = 0;
-  for (size_t q = 0; q < queries.rows(); ++q) {
-    agree += a[q][0].id == b[q][0].id ? 1 : 0;
-  }
-  EXPECT_GE(agree, 4u);
 }
 
 class PqBitsSweep : public testing::TestWithParam<size_t> {};
@@ -610,7 +560,7 @@ TEST_P(PqBitsSweep, RecallGrowsWithBits) {
   ProductQuantizer::Options options;
   options.num_subspaces = 4;
   options.bits_per_code = bits;
-  PqIndex index(16, Metric::kL2, options);
+  PqIndex index(16, options);
   index.Add(data);
   const double recall = RecallVsFlat(index, data, queries, 10);
   // Minimum acceptable recall grows with the code budget.

@@ -42,7 +42,7 @@ la::Matrix ClusteredEmbeddings(size_t n, size_t clusters) {
 
 TEST(SelectorsExt, ParseRoundTripIncludesExtensions) {
   for (const SelectorKind kind : AllSelectors()) {
-    EXPECT_EQ(ParseSelector(SelectorName(kind)), kind);
+    EXPECT_EQ(ParseSelector(SelectorName(kind)).value(), kind);
   }
   EXPECT_EQ(AllSelectors().size(), 10u);
 }

@@ -35,7 +35,7 @@ TEST(Selectors, ParseRoundTrip) {
        {SelectorKind::kRandom, SelectorKind::kGreedy, SelectorKind::kUncertainty,
         SelectorKind::kQbc, SelectorKind::kPartition2, SelectorKind::kPartition4,
         SelectorKind::kBadge}) {
-    EXPECT_EQ(ParseSelector(SelectorName(kind)), kind);
+    EXPECT_EQ(ParseSelector(SelectorName(kind)).value(), kind);
   }
 }
 

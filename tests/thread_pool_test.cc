@@ -69,6 +69,12 @@ TEST(ThreadPoolConcurrency, ParallelForConcurrentWithRawSubmits) {
       }
     }
   });
+  // The rounds must overlap the stranger's traffic. On a loaded machine a
+  // new thread can stay unscheduled for all 100 rounds, so start them only
+  // once its first task is in the pool.
+  while (stray_pending.load() == 0 && stray_tasks.load() == 0) {
+    std::this_thread::yield();
+  }
   for (int round = 0; round < 100; ++round) {
     std::atomic<int> mine{0};
     ParallelFor(&pool, 32, [&mine](size_t begin, size_t end) {

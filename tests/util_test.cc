@@ -303,10 +303,12 @@ TEST(Flags, DefaultsPreserved) {
 }
 
 TEST(FlagsDeathTest, UnknownFlagAborts) {
+  // Not an abort: the error and the usage text, then exit status 2.
   FlagSet flags;
   flags.AddInt("n", 9, "");
   const char* argv[] = {"prog", "--bogus=1"};
-  EXPECT_DEATH(flags.Parse(2, const_cast<char**>(argv)), "Unknown flag");
+  EXPECT_EXIT(flags.Parse(2, const_cast<char**>(argv)),
+              testing::ExitedWithCode(2), "Unknown flag --bogus");
 }
 
 // ------------------------------------------------------------ table printer

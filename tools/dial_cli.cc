@@ -30,6 +30,8 @@
 
 namespace {
 
+using dial::util::CheckFlag;
+
 int CmdDatasets(int argc, char** argv) {
   dial::util::FlagSet flags;
   std::string* scale_text = flags.AddString("scale", "smoke", "smoke|small|medium");
@@ -44,7 +46,13 @@ int CmdDatasets(int argc, char** argv) {
   int64_t* pack_records = flags.AddInt(
       "pack_records", 0, "synthetic record count for --pack (0 = pack tables)");
   flags.Parse(argc, argv);
-  const auto scale = dial::data::ParseScale(*scale_text);
+  const auto scale = CheckFlag(dial::data::ParseScale(*scale_text));
+  const std::vector<std::string> names = datasets->empty()
+                                             ? dial::data::AllDatasetNames()
+                                             : dial::util::Split(*datasets, ",");
+  for (const std::string& name : names) {
+    CheckFlag(dial::data::CheckDatasetName(name));
+  }
 
   if (!pack->empty() && *pack_records > 0) {
     const dial::util::Status status = dial::data::WriteSyntheticPack(
@@ -60,9 +68,6 @@ int CmdDatasets(int argc, char** argv) {
     return 0;
   }
 
-  std::vector<std::string> names = datasets->empty()
-                                       ? dial::data::AllDatasetNames()
-                                       : dial::util::Split(*datasets, ",");
   dial::util::TablePrinter table(
       {"Dataset", "|R|", "|S|", "|dups|", "dup rate", "|Dtest|"});
   for (const std::string& name : names) {
@@ -135,21 +140,22 @@ int CmdRun(int argc, char** argv) {
       "sublayers; not bit-identical, fences checkpoint resume)");
   flags.Parse(argc, argv);
 
+  // Every value is checked before the dataset, vocabulary and pretraining
+  // work below, so a typo costs nothing.
+  CheckFlag(dial::data::CheckDatasetName(*dataset));
   dial::core::ExperimentConfig exp_config;
-  exp_config.scale = dial::data::ParseScale(*scale_text);
-  dial::core::Experiment exp = dial::core::PrepareExperiment(*dataset, exp_config);
-
+  exp_config.scale = CheckFlag(dial::data::ParseScale(*scale_text));
   dial::core::AlConfig al =
       dial::core::DefaultAlConfig(exp_config.scale, static_cast<uint64_t>(*seed));
-  al.blocking = *blocking == "rules"
-                    ? dial::core::BlockingStrategy::kFixedExternal
-                    : dial::core::ParseBlocking(*blocking);
-  al.selector = dial::core::ParseSelector(*selector);
-  al.index_backend = dial::core::ParseIndexBackend(*backend);
-  al.blocker.objective = dial::core::ParseObjective(*objective);
-  al.blocker.negatives = *negatives == "labeled"
-                             ? dial::core::NegativeSource::kLabeled
-                             : dial::core::NegativeSource::kRandom;
+  al.blocking = CheckFlag(dial::core::ParseBlocking(*blocking));
+  al.selector = CheckFlag(dial::core::ParseSelector(*selector));
+  al.index_backend = CheckFlag(dial::core::ParseIndexBackend(*backend));
+  al.blocker.objective = CheckFlag(dial::core::ParseObjective(*objective));
+  al.blocker.negatives = CheckFlag(dial::core::ParseNegativeSource(*negatives));
+  CheckFlag(dial::autograd::ParsePrecision(*precision));
+  if (*resume && checkpoint->empty()) {
+    CheckFlag(dial::util::Status::InvalidArgument("--resume requires --checkpoint"));
+  }
   if (*rounds > 0) al.rounds = static_cast<size_t>(*rounds);
   if (*budget > 0) al.budget_per_round = static_cast<size_t>(*budget);
   if (*committee > 0) al.blocker.committee_size = static_cast<size_t>(*committee);
@@ -161,6 +167,7 @@ int CmdRun(int argc, char** argv) {
   al.refresh.drift_threshold = *drift;
   al.inference_precision = *precision;
 
+  dial::core::Experiment exp = dial::core::PrepareExperiment(*dataset, exp_config);
   dial::core::ActiveLearningLoop loop(&exp.bundle, &exp.vocab,
                                       exp.pretrained.get(), al);
   if (al.blocking == dial::core::BlockingStrategy::kFixedExternal) {
@@ -168,7 +175,6 @@ int CmdRun(int argc, char** argv) {
   }
   if (!checkpoint->empty()) loop.SetCheckpointPath(*checkpoint);
   if (*resume) {
-    DIAL_CHECK(!checkpoint->empty()) << "--resume requires --checkpoint";
     const dial::util::Status status = loop.RestoreCheckpoint(*checkpoint);
     if (!status.ok()) {
       std::fprintf(stderr, "cannot resume: %s\n", status.ToString().c_str());
@@ -211,13 +217,14 @@ int CmdJedai(int argc, char** argv) {
   int64_t* seed = flags.AddInt("seed", 1, "generator seed");
   flags.Parse(argc, argv);
 
-  const auto bundle = dial::data::MakeDataset(
-      *dataset, dial::data::ParseScale(*scale_text), static_cast<uint64_t>(*seed));
-
+  CheckFlag(dial::data::CheckDatasetName(*dataset));
+  const auto scale = CheckFlag(dial::data::ParseScale(*scale_text));
   dial::baselines::JedaiAgnosticConfig agnostic;
-  agnostic.weighting = dial::baselines::ParseEdgeWeighting(*weighting);
-  agnostic.pruning = dial::baselines::ParsePruningScheme(*pruning);
+  agnostic.weighting = CheckFlag(dial::baselines::ParseEdgeWeighting(*weighting));
+  agnostic.pruning = CheckFlag(dial::baselines::ParsePruningScheme(*pruning));
   agnostic.block_filter_ratio = *filter;
+  const auto bundle =
+      dial::data::MakeDataset(*dataset, scale, static_cast<uint64_t>(*seed));
   const auto a = dial::baselines::RunJedaiSchemaAgnostic(bundle, agnostic);
   const auto b = dial::baselines::RunJedaiSchemaBased(bundle, {});
 

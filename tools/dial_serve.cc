@@ -254,19 +254,16 @@ int main(int argc, char** argv) {
       "match scores are no longer bit-identical to fp32 scoring)");
   flags.Parse(argc, argv);
 
-  dial::autograd::Precision precision;
-  if (!dial::autograd::ParsePrecision(*precision_text, &precision)) {
-    std::fprintf(stderr, "unknown --precision '%s' (fp32|int8)\n",
-                 precision_text->c_str());
-    return 1;
-  }
-
+  using dial::util::CheckFlag;
+  const dial::autograd::Precision precision =
+      CheckFlag(dial::autograd::ParsePrecision(*precision_text));
+  CheckFlag(dial::data::CheckDatasetName(*dataset));
   dial::serve::ServingOptions options;
   options.dataset = *dataset;
-  options.scale = dial::data::ParseScale(*scale_text);
+  options.scale = CheckFlag(dial::data::ParseScale(*scale_text));
   options.data_seed = static_cast<uint64_t>(*data_seed);
   options.al_seed = static_cast<uint64_t>(*al_seed);
-  options.backend = dial::core::ParseIndexBackend(*backend_text);
+  options.backend = CheckFlag(dial::core::ParseIndexBackend(*backend_text));
   options.k_neighbors = static_cast<size_t>(*k_neighbors);
 
   std::unique_ptr<dial::serve::ServingBundle> bundle;

@@ -1,10 +1,11 @@
 // Dispatch-tier microbenchmarks: the same binary's scalar / AVX2 / AVX-512
 // kernel instantiations (src/la/arch.h) measured against each other on the
-// three hot paths the dispatch layer covers — blocked GEMM, the PQ ADC scan,
-// and matcher pool scoring — plus the int8 quantized-inference axis
-// (src/la/quant.h) on GEMM and matcher scoring. CI's bench-smoke job
-// archives the records as BENCH_arch.json, so "what does runtime dispatch
-// buy on this machine" is a diffable number rather than folklore.
+// three hot paths the dispatch layer covers — GEMM (256³ and the training
+// tape's own shapes), the PQ ADC scan, and matcher pool scoring — plus the
+// int8 quantized-inference axis (src/la/quant.h) on GEMM and matcher
+// scoring. CI's bench-smoke job archives the records as BENCH_arch.json, so
+// "what does runtime dispatch buy on this machine" is a diffable number
+// rather than folklore.
 //
 // fp32 outputs are checked bit-identical across tiers before anything is
 // timed (the arch.h contract); the int8 rows are *not* comparable bit-wise
@@ -13,9 +14,11 @@
 // the matcher-scoring rows here isolate the per-worker compute those
 // requests bottleneck on.
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "bench_common.h"
@@ -193,6 +196,80 @@ int main(int argc, char** argv) {
                 {"gflops", Gflops(d, d, d, ms)},
                 {"speedup_vs_scalar_fp32", speedup}},
                total.Seconds() * 1000.0);
+    }
+    std::printf("%s\n", table.ToString().c_str());
+  }
+
+  // ----------------------------------------------------- tape GEMM shapes
+  // The GEMMs one training-tape sequence of the default model runs (length
+  // 34, width 32, head_dim 8): x*W, scores*V, the weight gradient x^T*dy,
+  // Q*K^T and dy*W^T. Microseconds per call, best of `reps` loops.
+  {
+    using Gemm = void (*)(size_t, size_t, size_t, const float*, const float*,
+                          float*, dial::util::ThreadPool*);
+    struct Shape {
+      const char* op;
+      Gemm gemm;
+      size_t m, n, k;
+    };
+    namespace kernels = dial::la::kernels;
+    const Shape shapes[] = {{"gemm_nn", &kernels::GemmNN, 34, 32, 32},
+                            {"gemm_nn", &kernels::GemmNN, 34, 8, 34},
+                            {"gemm_tn", &kernels::GemmTN, 32, 32, 34},
+                            {"gemm_nt", &kernels::GemmNT, 34, 34, 8},
+                            {"gemm_nt", &kernels::GemmNT, 34, 32, 32}};
+    constexpr size_t kCalls = 2000;
+    dial::util::TablePrinter table(
+        {"tape gemm", "tier", "us/call", "GFLOP/s", "vs scalar"});
+    for (const Shape& s : shapes) {
+      // a is (m,k), or (k,m) for TN; b is (k,n), or (n,k) for NT.
+      const Matrix a = Random(s.m, s.k, 3);
+      const Matrix b = Random(s.k, s.n, 4);
+      const auto gemm = [&](float* out) {
+        s.gemm(s.m, s.n, s.k, a.data(), b.data(), out, nullptr);
+      };
+      const std::string shape = std::string(s.op) + " " +
+                                std::to_string(s.m) + "x" +
+                                std::to_string(s.n) + "x" +
+                                std::to_string(s.k);
+      std::vector<float> out(s.m * s.n), scalar_out;
+      double scalar_us = 0.0;
+      for (arch::Tier tier : tiers) {
+        dial::util::WallTimer total;
+        arch::SetTier(tier);
+        std::fill(out.begin(), out.end(), 0.5f);
+        gemm(out.data());
+        if (tier == arch::Tier::kScalar) {
+          scalar_out = out;
+        } else {
+          DIAL_CHECK(BitIdentical(out.data(), scalar_out.data(), out.size()))
+              << arch::TierName(tier) << " " << shape
+              << " diverged from scalar";
+        }
+        const double ms = BestMs(n_reps, [&] {
+          for (size_t c = 0; c < kCalls; ++c) gemm(out.data());
+        });
+        const double us = ms * 1000.0 / kCalls;
+        if (tier == arch::Tier::kScalar) scalar_us = us;
+        const double gflops = Gflops(s.m, s.n, s.k, us / 1000.0);
+        const double speedup = us > 0.0 ? scalar_us / us : 0.0;
+        table.AddRow({shape, arch::TierName(tier),
+                      dial::util::TablePrinter::Num(us, 2),
+                      dial::util::TablePrinter::Num(gflops, 2),
+                      dial::util::TablePrinter::Num(speedup, 2)});
+        json.Add("arch",
+                 {{"op", s.op},
+                  {"tier", arch::TierName(tier)},
+                  {"precision", "fp32"},
+                  {"scale", *scale},
+                  {"m", std::to_string(s.m)},
+                  {"n", std::to_string(s.n)},
+                  {"k", std::to_string(s.k)}},
+                 {{"us_per_call", us},
+                  {"gflops", gflops},
+                  {"speedup_vs_scalar", speedup}},
+                 total.Seconds() * 1000.0);
+      }
     }
     std::printf("%s\n", table.ToString().c_str());
   }

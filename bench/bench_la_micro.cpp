@@ -1,4 +1,4 @@
-// Kernel-layer microbenchmarks: blocked GEMM vs the pre-refactor scalar
+// Kernel-layer microbenchmarks: tiled GEMM vs the pre-refactor scalar
 // kernel, pool-threaded GEMM scaling, the pooled-vs-inline crossover at the
 // training tape's GEMM shapes, and the batched distance scans the index
 // backends run on. CI's bench-smoke job archives the records as
@@ -7,9 +7,12 @@
 //
 // The crossover sweep times each shape two ways: inline, and forced through
 // the pool (rows split over the workers whatever the size, as every tape
-// GEMM was before util::kMinParallelWork). `pooled_over_inline` above 1
-// means the pool's hand-off costs more than it saves at that shape; the
-// cutoff should sit where it crosses 1. The `dispatch` column names the
+// GEMM was before util::kMinParallelWork). It does so for each GEMM that
+// shares the cutoff: fp32 NN (the tape's layout), fp32 NT (LSH hashing and
+// the inference engine's transposed products) and the int8 NT GEMM
+// (quantized inference). `pooled_over_inline` above 1 means the pool's
+// hand-off costs more than it saves at that shape; the cutoff should sit
+// where the lowest of the three crosses 1. The `dispatch` column names the
 // path the library takes for that shape under the current cutoff.
 //
 // The "naive" baselines below are verbatim re-implementations of the
@@ -21,11 +24,14 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <functional>
+#include <utility>
 #include <vector>
 
 #include "bench_common.h"
 #include "la/kernels.h"
 #include "la/matrix.h"
+#include "la/quant.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
@@ -90,19 +96,6 @@ double Gflops(size_t m, size_t n, size_t k, double ms) {
   return ms > 0.0 ? 2.0 * static_cast<double>(m * n * k) / (ms * 1e6) : 0.0;
 }
 
-/// GemmNN with its output rows split over the pool regardless of size: no
-/// work estimate reaches ParallelFor, so this is the dispatch every pooled
-/// GEMM had before the work cutoff. Each chunk runs the inline kernel on
-/// its row block, which the kernel contract makes bit-identical.
-void GemmNNAlwaysPooled(size_t m, size_t n, size_t k, const float* a,
-                        const float* b, float* out,
-                        dial::util::ThreadPool* pool) {
-  dial::util::ParallelFor(pool, m, [=](size_t begin, size_t end) {
-    dial::la::kernels::GemmNN(end - begin, n, k, a + begin * k, b,
-                              out + begin * n);
-  });
-}
-
 bool BitIdentical(const Matrix& a, const Matrix& b) {
   if (a.rows() != b.rows() || a.cols() != b.cols()) return false;
   for (size_t i = 0; i < a.size(); ++i) {
@@ -133,7 +126,7 @@ int main(int argc, char** argv) {
   }
 
   dial::bench::PrintHeader(
-      "LA micro: blocked GEMM + batched distance kernels vs scalar loops",
+      "LA micro: tiled GEMM + batched distance kernels vs scalar loops",
       "runtime substrate of Table 9 — not a paper table");
   std::printf("gemm %zux%zux%zu, scan %zux{8,32,64}, threads=%zu (ms = best of %zu)\n\n",
               gemm_dim, gemm_dim, gemm_dim, scan_rows,
@@ -204,7 +197,8 @@ int main(int argc, char** argv) {
   // ------------------------------------------- pooled vs inline crossover
   {
     // (m, n, k) of the training tape's GEMMs: rows 16..1024 against the
-    // model's 32/64-wide projections, plus the MLM head's vocabulary GEMM.
+    // model's 32/64-wide projections (k = 32/64 is also the LSH hashing
+    // depth), plus the MLM head's vocabulary GEMM.
     std::vector<std::array<size_t, 3>> shapes;
     for (size_t m = 16; m <= 1024; m *= 2) {
       for (const size_t n : {32, 64}) {
@@ -213,56 +207,81 @@ int main(int argc, char** argv) {
     }
     shapes.push_back({64, 2048, 32});
 
-    dial::util::TablePrinter table({"gemm m x n x k", "work", "inline us",
+    dial::util::TablePrinter table({"gemm", "m x n x k", "work", "inline us",
                                     "pooled us", "pooled/inline",
                                     "dispatch"});
     for (const auto& [m, n, k] : shapes) {
       const Matrix a = Random(m, k, 5);
       const Matrix b = Random(k, n, 6);
-      Matrix inline_out(m, n, 0.0f), pooled_out(m, n, 0.0f);
-      dial::la::kernels::GemmNN(m, n, k, a.data(), b.data(),
-                                inline_out.data());
-      GemmNNAlwaysPooled(m, n, k, a.data(), b.data(), pooled_out.data(),
-                         &pool);
-      DIAL_CHECK(BitIdentical(pooled_out, inline_out))
-          << "pooled GEMM diverged from inline GEMM at " << m << "x" << n
-          << "x" << k;
-
-      dial::util::WallTimer total;
+      const Matrix bt = Random(n, k, 7);
+      dial::la::quant::QuantizedTensor qa, qb;
+      dial::la::quant::QuantizeRows(a.data(), m, k, &qa);
+      dial::la::quant::QuantizeRows(bt.data(), n, k, &qb);
       Matrix out(m, n, 0.0f);
-      const double inline_us = dial::bench::BestUsPerCall(n_reps, [&] {
-        dial::la::kernels::GemmNN(m, n, k, a.data(), b.data(), out.data());
-      });
-      const double pooled_us = dial::bench::BestUsPerCall(n_reps, [&] {
-        GemmNNAlwaysPooled(m, n, k, a.data(), b.data(), out.data(), &pool);
-      });
-      const size_t work = m * n * k;
-      const double pooled_over_inline =
-          inline_us > 0.0 ? pooled_us / inline_us : 0.0;
-      const char* dispatch =
-          work < dial::util::kMinParallelWork ? "inline" : "pooled";
-      table.AddRow({dial::util::StrFormat("%zux%zux%zu", m, n, k),
-                    std::to_string(work),
-                    dial::util::TablePrinter::Num(inline_us, 1),
-                    dial::util::TablePrinter::Num(pooled_us, 1),
-                    dial::util::TablePrinter::Num(pooled_over_inline, 2),
-                    dispatch});
-      json.Add("la_micro",
-               {{"op", "gemm_pooled_vs_inline"},
-                {"scale", *scale},
-                {"m", std::to_string(m)},
-                {"n", std::to_string(n)},
-                {"k", std::to_string(k)},
-                {"threads", std::to_string(*threads)},
-                {"dispatch", dispatch}},
-               {{"inline_us", inline_us},
-                {"pooled_us", pooled_us},
-                {"pooled_over_inline", pooled_over_inline}},
-               total.Seconds() * 1000.0);
+      // Each layout's kernel on output rows [begin, end): inline runs it
+      // once over all m rows; pooled hands row blocks to the workers with no
+      // work estimate, the dispatch every pooled GEMM had before the
+      // cutoff. The kernel contract makes the two bit-identical.
+      const auto nn = [&](size_t begin, size_t end) {
+        dial::la::kernels::GemmNN(end - begin, n, k, a.row(begin), b.data(),
+                                  out.row(begin));
+      };
+      const auto nt = [&](size_t begin, size_t end) {
+        dial::la::kernels::GemmNT(end - begin, n, k, a.row(begin), bt.data(),
+                                  out.row(begin));
+      };
+      const auto int8_nt = [&](size_t begin, size_t end) {
+        dial::la::kernels::GemmInt8NT(
+            end - begin, n, k, qa.values.data() + begin * k,
+            qa.scales.data() + begin, qb.values.data(), qb.scales.data(),
+            /*bias=*/nullptr, out.row(begin));
+      };
+      const std::pair<const char*, std::function<void(size_t, size_t)>>
+          layouts[] = {{"nn", nn}, {"nt", nt}, {"int8_nt", int8_nt}};
+      for (const auto& [layout, rows] : layouts) {
+        out.Zero();
+        rows(0, m);
+        const Matrix inline_out = out;
+        out.Zero();
+        dial::util::ParallelFor(&pool, m, rows);
+        DIAL_CHECK(BitIdentical(out, inline_out))
+            << layout << " pooled GEMM diverged from inline GEMM at " << m
+            << "x" << n << "x" << k;
+
+        dial::util::WallTimer total;
+        const double inline_us =
+            dial::bench::BestUsPerCall(n_reps, [&] { rows(0, m); });
+        const double pooled_us = dial::bench::BestUsPerCall(
+            n_reps, [&] { dial::util::ParallelFor(&pool, m, rows); });
+        const size_t work = m * n * k;
+        const double pooled_over_inline =
+            inline_us > 0.0 ? pooled_us / inline_us : 0.0;
+        const char* dispatch =
+            work < dial::util::kMinParallelWork ? "inline" : "pooled";
+        table.AddRow({layout, dial::util::StrFormat("%zux%zux%zu", m, n, k),
+                      std::to_string(work),
+                      dial::util::TablePrinter::Num(inline_us, 1),
+                      dial::util::TablePrinter::Num(pooled_us, 1),
+                      dial::util::TablePrinter::Num(pooled_over_inline, 2),
+                      dispatch});
+        json.Add("la_micro",
+                 {{"op", "gemm_pooled_vs_inline"},
+                  {"layout", layout},
+                  {"scale", *scale},
+                  {"m", std::to_string(m)},
+                  {"n", std::to_string(n)},
+                  {"k", std::to_string(k)},
+                  {"threads", std::to_string(*threads)},
+                  {"dispatch", dispatch}},
+                 {{"inline_us", inline_us},
+                  {"pooled_us", pooled_us},
+                  {"pooled_over_inline", pooled_over_inline}},
+                 total.Seconds() * 1000.0);
+      }
     }
     std::printf("%s", table.ToString().c_str());
     std::printf(
-        "dispatch = the path GemmNN with a pool takes: inline below "
+        "dispatch = the path each GEMM with a pool takes: inline below "
         "util::kMinParallelWork = %zu multiply-adds, pooled at or above it\n\n",
         dial::util::kMinParallelWork);
   }

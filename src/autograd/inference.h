@@ -160,7 +160,7 @@ class Scratch {
 namespace infer {
 
 /// out = a * b (out pre-shaped (a.rows, b.cols); overwritten). Mirrors
-/// ops::MatMul's forward: zeroed accumulator + blocked GemmNN.
+/// ops::MatMul's forward: zeroed accumulator + GemmNN.
 void MatMul(const la::Matrix& a, const la::Matrix& b, la::Matrix& out,
             util::ThreadPool* pool);
 

@@ -5,7 +5,7 @@
 #include <cstdint>
 
 /// \file
-/// Raw-pointer compute kernels behind la::Matrix: cache-blocked GEMM in the
+/// Raw-pointer compute kernels behind la::Matrix: register-tiled GEMM in the
 /// three transpose layouts autograd needs, a blocked transpose, batched
 /// row-distance kernels for the index/selector scan loops, the PQ ADC scan,
 /// and an int8 GEMM for quantized inference. Every entry point here
@@ -30,11 +30,16 @@
 ///    result is +0 followed by one sub/mul/add step per element in order;
 ///    lane r replays those steps for row r. So a batched scan is
 ///    bit-identical to calling the scalar kernel per row.
-///  - GEMM accumulates each output element over k in a fixed order: k-blocks
-///    ascending, 4 rows of b combined per step. The order never depends on
-///    the thread count (threads split output rows, never the k reduction) or
-///    the dispatch tier (SIMD widens over output columns, never k), so
-///    pooled GEMM is bit-identical to inline GEMM on every tier.
+///  - NN and TN GEMM accumulate each output element c over k with no
+///    k-blocks: in groups of four from p = 0, c += (a0*b0 + a1*b1) +
+///    (a2*b2 + a3*b3), then the k % 4 tail one step at a time, c += a*b.
+///    NT GEMM adds Dot(a_i, b_j), in the row-reduction order above, to each
+///    element; for two or more rows it computes one block of columns at a
+///    time, all rows sharing a transposed copy of the block. The order never
+///    depends on the thread count (threads split output rows, never the k
+///    reduction) or the dispatch tier (SIMD widens over output columns,
+///    never k), so pooled GEMM is bit-identical to inline GEMM on every
+///    tier.
 ///  - ADC accumulates per code over 4 interleaved subspace partials combined
 ///    as (s0+s1)+(s2+s3) with a sequential tail for m % 4; the batched scan
 ///    replays that chain per code.
@@ -50,9 +55,9 @@
 /// Threading: the Gemm* entry points take an optional util::ThreadPool and
 /// fan out over contiguous output-row blocks (deterministic partials as
 /// above). Each passes m*n*k to util::ParallelFor as its work estimate, so
-/// a GEMM below util::kMinParallelWork (2^18 multiply-adds, measurements
+/// a GEMM below util::kMinParallelWork (2^19 multiply-adds, measurements
 /// in util/thread_pool.h) runs inline even with a pool: at that size the
-/// pool's hand-off costs more than the GEMM. A single output row, a null
+/// pool's hand-off costs more than it saves. A single output row, a null
 /// pool, a single worker, or nested calls from a pool worker also run
 /// inline. The pooled callers are the inference engine and LSH hashing;
 /// training tapes pass no pool.

@@ -1,7 +1,8 @@
-// AVX-512 tier (f/bw/dq/vl): single-zmm row reductions, wider autovec on the
-// generic GEMM loops. Same arithmetic contract as every other tier — no FMA,
-// -ffp-contract=off, fixed combine trees — so results match scalar bit for
-// bit. Returns nullptr when the TU is built without AVX-512 support.
+// AVX-512 tier (f/bw/dq/vl): single-zmm row reductions, the AVX2 tier's
+// ymm block for NT GEMM, wider autovec on the generic NN/TN GEMM tile. Same
+// arithmetic contract as every other tier — no FMA, -ffp-contract=off,
+// fixed combine trees — so results match scalar bit for bit. Returns
+// nullptr when the TU is built without AVX-512 support.
 #include "la/arch.h"
 
 #if defined(__AVX512F__)

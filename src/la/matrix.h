@@ -14,7 +14,7 @@
 /// Dense row-major float32 matrix plus the handful of BLAS-free kernels the
 /// autograd layer is built on. Everything in the training stack (transformer,
 /// committee, heads) reduces to these operations; the heavy lifting lives in
-/// la/kernels.h (blocked GEMM, batched distances) and this header is the
+/// la/kernels.h (register-tiled GEMM, batched distances) and this header is the
 /// shape-checked Matrix-level entry point.
 
 namespace dial::util {

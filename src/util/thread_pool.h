@@ -18,7 +18,7 @@
 ///
 /// Handing a call to the pool costs a queue push, a worker wake-up and a
 /// latch wait: bench_la_micro's `gemm_pooled_vs_inline` records for the
-/// 16-row GEMMs read 21-28 us pooled against 1-3 us inline on a 4-core
+/// 16-row GEMMs read 12-19 us pooled against 0.3-6 us inline on a 4-core
 /// AVX-512 host. So `ParallelFor` only fans out calls that carry enough
 /// work to repay it (see `kMinParallelWork`).
 
@@ -72,20 +72,21 @@ class ThreadPool {
 };
 
 /// Work (multiply-adds, or a comparable per-element cost) below which
-/// `ParallelFor` runs inline even with a pool. 2^18 is the 2-worker
-/// crossover of row-split GEMMs at the training tape's shapes, measured on
-/// a 4-core AVX-512 host: pooled over inline time was 3.42x at 40x32x32,
-/// 1.45x at 64x64x32, 0.92x at 64x64x64 and 0.67x at 256x64x64.
-/// bench_la_micro's hot-loop sweep of isolated GEMMs (`pooled_over_inline`
-/// in BENCH_la.json) puts the crossover higher on the same host, near 2^20,
-/// so a GEMM between the two may still run slower on the pool (about 3x,
-/// some 20 us, at 64x64x64 in that sweep). Training tapes carry no pool and
-/// always run inline. The inference engine's GEMMs over a full pack (FFN
-/// 480x64x32, CLS-mode K/V 480x32x32) lie between the two. They reach the
-/// pool only when a call holds a single pack (packs of a multi-pack call
-/// run on workers, where nested calls run inline), and there one-pack
-/// predict timed the same with the cutoff at 2^18 or 2^20.
-inline constexpr size_t kMinParallelWork = size_t{1} << 18;
+/// `ParallelFor` runs inline even with a pool. Only the la::kernels GEMM
+/// entry points pass an estimate. 2^19 is the lowest crossover of the three
+/// GEMMs that share it in bench_la_micro's sweep of isolated row-split GEMMs
+/// (`pooled_over_inline` in BENCH_la.json, 2 workers, a 4-core AVX-512
+/// host). Pooled over inline time read 1.17-1.37x at 2^18 multiply-adds
+/// and 0.83-0.98x at 2^19 for fp32 NT, and 1.05-1.38x and 0.78-0.94x for
+/// int8 NT. fp32 NN does some 4x the multiply-adds per second of NT and
+/// crosses later: 1.64-1.84x at 2^19, 1.07-1.14x at 2^20 and 0.81-0.84x at
+/// 2^21, so an NN GEMM between 2^19 and 2^21 runs pooled at a loss of 2-7
+/// us a call. Training tapes carry no pool and always run inline. The
+/// inference engine's GEMMs over a full pack (FFN 480x64x32, above the
+/// cutoff; CLS-mode K/V 480x32x32, below it) reach the pool only when a
+/// call holds a single pack: packs of a multi-pack call run on workers,
+/// where nested calls run inline.
+inline constexpr size_t kMinParallelWork = size_t{1} << 19;
 
 /// Splits [0, n) into contiguous chunks and runs `fn(begin, end)` on the
 /// pool; blocks until complete. Runs `fn(0, n)` inline on the caller with a

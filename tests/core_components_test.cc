@@ -489,6 +489,7 @@ TEST(MatcherThreading, SmokeShapeTrainingSubmitsNoPoolTasks) {
   const auto vocab = text::SubwordVocab::Train(bundle.CorpusLines(), vo);
   util::Rng rng(4);
   const auto seed = data::SampleSeedSet(bundle, 10, rng);
+  static_assert(60 * 128 * 128 >= util::kMinParallelWork);
   for (const size_t dim : {32u, 128u}) {
     tplm::TplmConfig config;  // the smoke-scale model, optionally widened
     ASSERT_EQ(config.transformer.dim, 32u);

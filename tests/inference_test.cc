@@ -351,8 +351,9 @@ TEST(InferenceEngine, BitIdenticalAcrossThreadCounts) {
 
   // One full pack at the default model shapes: 8 pairs of max_pair_len
   // tokens. A single pack runs on the caller, so the encoder's own fan-outs
-  // reach the pool — the per-sequence attention split and the GEMMs above
-  // util::kMinParallelWork (FFN 480x64x32, CLS-mode K/V 480x32x32).
+  // reach the pool — the per-sequence attention split and the FFN GEMMs
+  // (480x64x32, above util::kMinParallelWork; CLS-mode K/V 480x32x32 lies
+  // below it and runs inline).
   const tplm::TplmConfig full_config;
   tplm::TplmModel full_model("full", full_config, 5);
   std::vector<text::EncodedSequence> one_pack;

@@ -6,13 +6,17 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <string_view>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "autograd/gradcheck.h"
 #include "autograd/ops.h"
 #include "autograd/tape.h"
+#include "la/arch.h"
 #include "la/matrix.h"
+#include "util/hash.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
@@ -20,7 +24,7 @@ namespace dial::la {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Naive references: the pre-refactor scalar semantics the blocked kernels
+// Naive references: the pre-refactor scalar semantics the tiled kernels
 // must reproduce (within reassociation tolerance).
 // ---------------------------------------------------------------------------
 
@@ -97,9 +101,9 @@ Matrix Random(size_t rows, size_t cols, uint64_t seed) {
   return m;
 }
 
-// Shapes stress the unrolled tails (dims % 4 != 0), the kBlockK=64 /
-// kBlockJ=64 panel boundaries (dims crossing 64), single rows/cols, and
-// empty inputs. The last two lie well above util::kMinParallelWork, so the
+// Shapes stress the unrolled tails (dims % 4 != 0), the 4-row tiles and
+// 16-column blocks, NT's column blocks and 16-lane chains, single rows/cols,
+// and empty inputs. The last two lie above util::kMinParallelWork, so the
 // pooled tests really hand their rows to the workers.
 class KernelShapes : public testing::TestWithParam<std::tuple<int, int, int>> {};
 
@@ -174,6 +178,84 @@ TEST_P(KernelShapes, PooledGemmIsBitIdenticalAcrossThreadCounts) {
                         static_cast<size_t>(m) * n * k >= util::kMinParallelWork;
     EXPECT_EQ(pool.tasks_submitted() > 0, pooled) << workers << " workers";
   }
+}
+
+// Uniform values in [-1, 1), about one in six of them +0 or -0.
+std::vector<float> SweepValues(util::Rng& rng, size_t n) {
+  std::vector<float> v(n);
+  for (float& x : v) {
+    const uint64_t r = rng.UniformInt(12);
+    x = r == 0 ? 0.0f : r == 1 ? -0.0f : rng.UniformFloat(-1.0f, 1.0f);
+  }
+  return v;
+}
+
+// Every m, n and k around the GEMM tiles' edges: 4-row tiles, 16-, 8- and
+// 1-column blocks, 4-step k groups, NT's 8-column blocks and 16-lane
+// chains. Each layout runs on every tier, inline and through a pool, and
+// must match the scalar tier byte for byte. The scalar outputs hash to a
+// pinned value, so a change to the accumulation contract fails here even
+// when every tier changes alike.
+TEST(GemmTileEdges, EveryTierMatchesPinnedScalarBitsInlineAndPooled) {
+  using Gemm = void (*)(size_t, size_t, size_t, const float*, const float*,
+                        float*, util::ThreadPool*);
+  const std::pair<const char*, Gemm> layouts[] = {
+      {"nn", &kernels::GemmNN}, {"tn", &kernels::GemmTN},
+      {"nt", &kernels::GemmNT}};
+  std::vector<std::tuple<size_t, size_t, size_t>> shapes;
+  for (const size_t m : {1u, 2u, 3u, 4u, 5u, 8u, 9u, 33u}) {
+    for (const size_t n : {1u, 7u, 8u, 9u, 15u, 16u, 17u, 33u, 65u}) {
+      for (const size_t k :
+           {1u, 3u, 4u, 5u, 8u, 15u, 16u, 17u, 32u, 33u, 64u, 65u, 257u}) {
+        shapes.emplace_back(m, n, k);
+      }
+    }
+  }
+  // One shape at or above util::kMinParallelWork, so the pool splits rows.
+  constexpr size_t kPooledM = 503, kPooledN = 65, kPooledK = 65;
+  static_assert(kPooledM * kPooledN * kPooledK >= util::kMinParallelWork);
+  shapes.emplace_back(kPooledM, kPooledN, kPooledK);
+
+  struct RestoreTier {
+    ~RestoreTier() { arch::ResetTierFromEnv(); }
+  } restore;
+  util::ThreadPool pool(3);
+  uint64_t hash = util::kFnvOffset;
+  for (const auto& [m, n, k] : shapes) {
+    // a is (m,k) for NN and NT and (k,m) for TN; b is (k,n) for NN and TN
+    // and (n,k) for NT.
+    util::Rng rng(m * 1000003 + n * 1009 + k);
+    const std::vector<float> a = SweepValues(rng, m * k);
+    const std::vector<float> b = SweepValues(rng, k * n);
+    const std::vector<float> init = SweepValues(rng, m * n);
+    const size_t bytes = m * n * sizeof(float);
+    for (const auto& [name, gemm] : layouts) {
+      ASSERT_EQ(arch::SetTier(arch::Tier::kScalar), arch::Tier::kScalar);
+      std::vector<float> want = init;
+      gemm(m, n, k, a.data(), b.data(), want.data(), nullptr);
+      hash = util::Fnv1a(
+          std::string_view(reinterpret_cast<const char*>(want.data()), bytes),
+          hash);
+      for (const arch::Tier tier : arch::SupportedTiers()) {
+        ASSERT_EQ(arch::SetTier(tier), tier);
+        for (util::ThreadPool* p : {static_cast<util::ThreadPool*>(nullptr),
+                                    &pool}) {
+          const size_t submitted = pool.tasks_submitted();
+          std::vector<float> got = init;
+          gemm(m, n, k, a.data(), b.data(), got.data(), p);
+          ASSERT_EQ(std::memcmp(got.data(), want.data(), bytes), 0)
+              << name << " " << arch::TierName(tier)
+              << (p != nullptr ? " pooled" : " inline") << " m=" << m
+              << " n=" << n << " k=" << k;
+          if (p != nullptr && m == kPooledM) {
+            EXPECT_GT(pool.tasks_submitted(), submitted)
+                << name << " " << arch::TierName(tier);
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(util::HexDigest(hash), "86ecd9f86a7d44ed");
 }
 
 TEST_P(KernelShapes, TransposeBlockedMatchesElementwise) {
@@ -350,7 +432,7 @@ TEST(MatrixPooled, MatMulVariantsBitIdenticalWithPool) {
   }
 }
 
-// Gradients still check out through the blocked GEMMs. Training tapes run
+// Gradients still check out through the tiled GEMMs. Training tapes run
 // inline; pooled GEMM stays under test through KernelShapes and
 // MatrixPooled above.
 TEST(KernelGradients, GradcheckThroughPooledMatMul) {

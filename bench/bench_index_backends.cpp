@@ -9,7 +9,10 @@
 //      cost and recall move as the database grows — where the approximate
 //      structures start paying for themselves. Search is timed best of
 //      --reps, inline and over the worker pool, and the pooled results must
-//      be bit-identical to the inline ones.
+//      be bit-identical to the inline ones. The exact backends also time a
+//      1-query search, the shape of a dial_serve top-k: matmul's GEMM then
+//      runs NT's single-row path. Its result must match row 0 of the batch
+//      bit for bit.
 //   3. The warm-start refresh sweep (--refresh_json_out).
 //
 // Every index is built by core::MakeIbcIndex, with the options IBC uses.
@@ -179,7 +182,8 @@ int main(int argc, char** argv) {
       "= best of %lld, %lld-thread pool):\n",
       static_cast<long long>(*reps), static_cast<long long>(*threads));
   dial::util::TablePrinter sweep({"n", "backend", "build ms", "search ms",
-                                  "search ms (pool)", "speedup", "recall@10"});
+                                  "search ms (pool)", "speedup", "recall@10",
+                                  "1 query us"});
   const size_t dim = 32;
   for (const size_t n : {size_t{2000}, size_t{8000}}) {
     const dial::la::Matrix data = Clustered(n, dim, 32, 5);
@@ -196,6 +200,24 @@ int main(int argc, char** argv) {
       const double search_ms =
           SearchMs(*index, queries, 10, static_cast<size_t>(*reps));
       const auto got = index->Search(queries, 10);
+      double one_us = 0.0;
+      if (backend == dial::core::IndexBackend::kFlat ||
+          backend == dial::core::IndexBackend::kMatmul) {
+        dial::util::WallTimer one_timer;
+        dial::la::Matrix one(1, dim);
+        std::copy(queries.row(0), queries.row(0) + dim, one.data());
+        one_us = SearchMs(*index, one, 10, static_cast<size_t>(*reps)) * 1000.0;
+        DIAL_CHECK(SameBatch(index->Search(one, 10), {got[0]}))
+            << "1-query search diverged from the batch for "
+            << dial::core::IndexBackendName(backend);
+        json.Add("index_backends_sweep",
+                 {{"backend", dial::core::IndexBackendName(backend)},
+                  {"n", std::to_string(n)},
+                  {"dim", std::to_string(dim)},
+                  {"queries", "1"},
+                  {"reps", std::to_string(*reps)}},
+                 {{"search_us_inline", one_us}}, one_timer.Seconds() * 1000.0);
+      }
       index->SetThreadPool(&pool);
       const double pool_ms =
           SearchMs(*index, queries, 10, static_cast<size_t>(*reps));
@@ -217,7 +239,9 @@ int main(int argc, char** argv) {
                     dial::util::TablePrinter::Num(search_ms, 1),
                     dial::util::TablePrinter::Num(pool_ms, 1),
                     dial::util::TablePrinter::Num(speedup, 2),
-                    dial::bench::Pct(recall)});
+                    dial::bench::Pct(recall),
+                    one_us > 0.0 ? dial::util::TablePrinter::Num(one_us, 1)
+                                 : "-"});
       json.Add("index_backends_sweep",
                {{"backend", dial::core::IndexBackendName(backend)},
                 {"n", std::to_string(n)},

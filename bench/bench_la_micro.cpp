@@ -7,12 +7,12 @@
 //
 // The crossover sweep times each shape two ways: inline, and forced through
 // the pool (rows split over the workers whatever the size, as every tape
-// GEMM was before util::kMinParallelWork). It does so for each GEMM that
-// shares the cutoff: fp32 NN (the tape's layout), fp32 NT (LSH hashing and
-// the inference engine's transposed products) and the int8 NT GEMM
-// (quantized inference). `pooled_over_inline` above 1 means the pool's
+// GEMM was before util::kMinParallelWork). It does so for NN (the tape's
+// layout) and NT (LSH hashing and the inference engine's transposed
+// products), two of the three GEMMs that share the cutoff; TN's rows are
+// NN's with a strided a. `pooled_over_inline` above 1 means the pool's
 // hand-off costs more than it saves at that shape; the cutoff should sit
-// where the lowest of the three crosses 1. The `dispatch` column names the
+// where the lower of the two crosses 1. The `dispatch` column names the
 // path the library takes for that shape under the current cutoff.
 //
 // The "naive" baselines below are verbatim re-implementations of the
@@ -31,7 +31,6 @@
 #include "bench_common.h"
 #include "la/kernels.h"
 #include "la/matrix.h"
-#include "la/quant.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
@@ -214,9 +213,6 @@ int main(int argc, char** argv) {
       const Matrix a = Random(m, k, 5);
       const Matrix b = Random(k, n, 6);
       const Matrix bt = Random(n, k, 7);
-      dial::la::quant::QuantizedTensor qa, qb;
-      dial::la::quant::QuantizeRows(a.data(), m, k, &qa);
-      dial::la::quant::QuantizeRows(bt.data(), n, k, &qb);
       Matrix out(m, n, 0.0f);
       // Each layout's kernel on output rows [begin, end): inline runs it
       // once over all m rows; pooled hands row blocks to the workers with no
@@ -230,14 +226,8 @@ int main(int argc, char** argv) {
         dial::la::kernels::GemmNT(end - begin, n, k, a.row(begin), bt.data(),
                                   out.row(begin));
       };
-      const auto int8_nt = [&](size_t begin, size_t end) {
-        dial::la::kernels::GemmInt8NT(
-            end - begin, n, k, qa.values.data() + begin * k,
-            qa.scales.data() + begin, qb.values.data(), qb.scales.data(),
-            /*bias=*/nullptr, out.row(begin));
-      };
       const std::pair<const char*, std::function<void(size_t, size_t)>>
-          layouts[] = {{"nn", nn}, {"nt", nt}, {"int8_nt", int8_nt}};
+          layouts[] = {{"nn", nn}, {"nt", nt}};
       for (const auto& [layout, rows] : layouts) {
         out.Zero();
         rows(0, m);

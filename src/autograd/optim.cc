@@ -2,8 +2,6 @@
 
 #include <cmath>
 
-#include "la/quant.h"
-
 namespace dial::autograd {
 
 AdamW::AdamW(std::vector<ParamGroup> groups) : AdamW(std::move(groups), Options()) {}
@@ -22,7 +20,6 @@ AdamW::AdamW(std::vector<ParamGroup> groups, Options options)
 
 void AdamW::Step(float lr_scale) {
   ++t_;
-  la::quant::BumpWeightEpoch();  // invalidates cached int8 weights
   // Optional global gradient clipping across all groups.
   float clip_scale = 1.0f;
   if (options_.clip_norm > 0.0f) {
@@ -66,7 +63,6 @@ void AdamW::ZeroGrad() {
 }
 
 void Sgd::Step() {
-  la::quant::BumpWeightEpoch();  // invalidates cached int8 weights
   for (Parameter* p : params_) {
     la::Axpy(p->value, -lr_, p->grad);
   }

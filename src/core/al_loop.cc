@@ -8,17 +8,6 @@
 
 namespace dial::core {
 
-namespace {
-
-// AlConfig carries the precision as its CLI spelling; parse (with a hard
-// failure on typos — silently running fp32 when the user asked for int8
-// would invalidate any parity comparison) at each model-construction site.
-autograd::Precision ConfiguredPrecision(const AlConfig& config) {
-  return autograd::ParsePrecision(config.inference_precision).value();
-}
-
-}  // namespace
-
 util::StatusOr<BlockingStrategy> ParseBlocking(const std::string& text) {
   return util::ParseChoice<BlockingStrategy>(
       "blocking strategy", text,
@@ -133,7 +122,6 @@ std::vector<Candidate> ActiveLearningLoop::BuildCandidates(size_t round,
       blocker.seed = config_.blocker.seed ^ (0x1000 + round);
       committee_ = std::make_unique<BlockerCommittee>(emb_r.cols(), blocker);
       committee_->SetThreadPool(pool_.get());
-      committee_->SetInferencePrecision(ConfiguredPrecision(config_));
       std::vector<data::PairId> dups;
       for (const auto& e : labeled_.positives()) dups.push_back(e.pair);
       std::vector<data::PairId> negs;
@@ -153,7 +141,6 @@ std::vector<Candidate> ActiveLearningLoop::BuildCandidates(size_t round,
         timer.Restart();
         Matcher probe(pretrained_->config(), config_.matcher, config_.seed ^ 0xfef1);
         probe.SetThreadPool(pool_.get());
-        probe.SetInferencePrecision(ConfiguredPrecision(config_));
         probe.ResetFromPretrained(*pretrained_);
         const la::Matrix emb_r = EmbedAllR(probe);
         const la::Matrix emb_s = EmbedAllS(probe);
@@ -181,7 +168,6 @@ std::vector<Candidate> ActiveLearningLoop::BuildCandidates(size_t round,
       sbert_ = std::make_unique<SentenceBertBlocker>(
           pretrained_->config(), config_.sbert, config_.seed ^ (0x5be7 + round));
       sbert_->SetThreadPool(pool_.get());
-      sbert_->SetInferencePrecision(ConfiguredPrecision(config_));
       sbert_->ResetFromPretrained(*pretrained_, 0xbeef + round);
       sbert_->Train(*encodings_, labeled_.AllPairs());
       metrics.t_train_committee = timer.Seconds();
@@ -260,7 +246,6 @@ AlResult ActiveLearningLoop::Run() {
     matcher = std::make_unique<Matcher>(pretrained_->config(), matcher_config,
                                         config_.seed ^ 0x1111 ^ round);
     matcher->SetThreadPool(pool_.get());
-    matcher->SetInferencePrecision(ConfiguredPrecision(config_));
     matcher->ResetFromPretrained(*pretrained_);
     matcher->Train(*pair_cache_, labeled_.AllPairs(), calibration_);
     metrics.t_train_matcher = timer.Seconds();
@@ -312,7 +297,6 @@ AlResult ActiveLearningLoop::Run() {
         boot_config.seed = matcher_config.seed ^ (0xb00 + m);
         Matcher boot(pretrained_->config(), boot_config, config_.seed ^ (0xc00 + m));
         boot.SetThreadPool(pool_.get());
-        boot.SetInferencePrecision(ConfiguredPrecision(config_));
         boot.ResetFromPretrained(*pretrained_);
         std::vector<data::LabeledPair> sample;
         sample.reserve(all_pairs.size());

@@ -144,13 +144,6 @@ uint64_t AlConfigFingerprint(const AlConfig& config, const std::string& dataset)
   h = util::HashCombine(h, config.index_refresh ? 1u : 0u);
   h = util::HashCombine(h, config.refresh.warm_start ? 1u : 0u);
   h = util::HashCombine(h, config.refresh.warm_iterations);
-  // Quantized inference changes pool scores (not bit-identical to fp32),
-  // so it must fence resumes — but only hash a
-  // non-default value, so every fingerprint minted before the knob existed
-  // (implicitly fp32) stays resumable.
-  if (config.inference_precision != "fp32") {
-    h = util::HashCombine(h, util::Fnv1a(config.inference_precision));
-  }
   // Negative knob values all mean "disabled"; clamp before the float->int
   // cast (negative-to-unsigned float conversion is UB, and every disabled
   // value should fingerprint identically anyway).

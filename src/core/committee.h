@@ -94,12 +94,6 @@ class CommitteeMember : public nn::Module {
   /// Unowned pool for this member's inference engine (see Matcher).
   void SetThreadPool(util::ThreadPool* pool) { infer_ctx_.SetThreadPool(pool); }
 
-  /// Numeric mode for the engine's linear sublayer (default fp32; see
-  /// Matcher::SetInferencePrecision).
-  void SetInferencePrecision(autograd::Precision precision) {
-    infer_ctx_.SetPrecision(precision);
-  }
-
  private:
   la::Matrix mask_;  // (1, d) of {0,1}
   nn::Linear linear_;
@@ -145,11 +139,6 @@ class BlockerCommittee {
   /// always safe to set.
   void SetThreadPool(util::ThreadPool* pool) {
     for (auto& member : members_) member->SetThreadPool(pool);
-  }
-
-  /// Sets every member's engine precision (see CommitteeMember).
-  void SetInferencePrecision(autograd::Precision precision) {
-    for (auto& member : members_) member->SetInferencePrecision(precision);
   }
 
  private:

@@ -125,13 +125,6 @@ class Matcher {
   /// (default) detaches. Training tapes always run inline.
   void SetThreadPool(util::ThreadPool* pool) { infer_ctx_.SetThreadPool(pool); }
 
-  /// Numeric mode for the engine's linear sublayers (default fp32). int8 is
-  /// NOT bit-identical — it is gated by the F1-parity test in the AL golden
-  /// harness; training always stays fp32 on the Tape.
-  void SetInferencePrecision(autograd::Precision precision) {
-    infer_ctx_.SetPrecision(precision);
-  }
-
  private:
   /// Gathers the cached pair encodings for `query` (in order).
   std::vector<const text::EncodedSequence*> GatherPairSeqs(

@@ -49,12 +49,6 @@ class SentenceBertBlocker {
   /// Unowned pool for this blocker's inference engine (see Matcher).
   void SetThreadPool(util::ThreadPool* pool) { infer_ctx_.SetThreadPool(pool); }
 
-  /// Numeric mode for the engine's linear sublayers (default fp32; see
-  /// Matcher::SetInferencePrecision).
-  void SetInferencePrecision(autograd::Precision precision) {
-    infer_ctx_.SetPrecision(precision);
-  }
-
  private:
   la::Matrix Embed(const std::vector<const text::EncodedSequence*>& seqs);
 

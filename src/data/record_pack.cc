@@ -222,13 +222,25 @@ util::Status RecordPackReader::Open(const std::string& path, Mode mode) {
   }
 
   // Offsets must be monotonically increasing and confined to the record
-  // region [end of schema, start of offset table).
+  // region [end of schema, start of offset table), and each record's value
+  // lengths must stay inside that region, so Get's bounds checks hold for
+  // every record Open accepts.
   uint64_t prev = pos;
   for (uint64_t i = 0; i < num_records_; ++i) {
-    if (offsets_[i] < prev || offsets_[i] + 8 > table_pos) {
+    if (offsets_[i] < prev || offsets_[i] > table_pos - 8) {
       return corrupt("offset table not monotone in record region");
     }
     prev = offsets_[i];
+    uint64_t p = offsets_[i] + 8;
+    for (uint64_t a = 0; a < num_attrs; ++a) {
+      if (p + 8 > table_pos) return corrupt("record runs past record region");
+      const uint64_t len = LoadU64(base_ + p);
+      p += 8;
+      if (len > table_pos - p) {
+        return corrupt("value length runs past record region");
+      }
+      p += len;
+    }
   }
   return util::Status::OK();
 }

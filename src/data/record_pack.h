@@ -94,16 +94,19 @@ class RecordPackReader {
   RecordPackReader(RecordPackReader&& other) noexcept;
   RecordPackReader& operator=(RecordPackReader&& other) noexcept;
 
-  /// Maps/loads `path` and validates header, footer, and offset table.
-  /// On error the reader stays empty and reusable.
+  /// Maps/loads `path` and validates header, footer, offset table, and
+  /// every record's value lengths (O(records x attributes) on top of the
+  /// CRC's O(file)). A pack that fails a check is kCorruption; a file that
+  /// cannot be opened or read is kNotFound or kIoError. On error the reader
+  /// stays empty and reusable.
   util::Status Open(const std::string& path, Mode mode = Mode::kMmap);
 
   size_t size() const { return num_records_; }
   bool empty() const { return num_records_ == 0; }
   const std::vector<std::string>& schema() const { return schema_; }
 
-  /// Parses record `i` in place. Corrupted value lengths (past the offset
-  /// table) are a checked error, not UB.
+  /// Parses record `i` in place. Open has checked every value length, so
+  /// Get's own bounds checks are invariants.
   PackedRecord Get(size_t i) const;
 
   /// Ground-truth entity id of record `i` (cheap: no value parsing).

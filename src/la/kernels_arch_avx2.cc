@@ -1,7 +1,7 @@
 // AVX2 tier: the same kernels_arch.inc arithmetic compiled with -mavx2 (no
 // FMA, -ffp-contract=off), which enables the hand-written AVX2 paths for the
-// row reductions, NT GEMM's 8-column block and the int8 GEMM, and lets the
-// vectorizer widen the generic NN/TN GEMM tile. Returns nullptr when this
+// row reductions and NT GEMM's 8-column block, and lets the vectorizer widen
+// the generic NN/TN GEMM tile. Returns nullptr when this
 // TU is built for a target without AVX2 (e.g. aarch64), so dispatch simply
 // never offers the tier.
 #include "la/arch.h"

@@ -2,9 +2,6 @@
 
 #include <algorithm>
 
-#include "la/kernels.h"
-#include "la/quant.h"
-
 namespace dial::nn {
 
 using autograd::Var;
@@ -25,20 +22,6 @@ Var Linear::Forward(ForwardContext& ctx, Var x) {
 autograd::Scratch Linear::InferForward(autograd::InferenceContext& ctx,
                                        const la::Matrix& x) const {
   autograd::Scratch out(ctx, x.rows(), out_features());
-  if (ctx.precision() == autograd::Precision::kInt8) {
-    // Quantized path: weights come from the context's epoch-validated cache
-    // (transposed, per-output-feature scales); activations quantize per row
-    // into thread-local scratch so pool workers never contend. The bias add
-    // is folded into the kernel's dequantization.
-    const auto qw = ctx.QuantizedTransposed(weight_->value);
-    thread_local la::quant::QuantizedTensor qx;
-    la::quant::QuantizeRows(x.data(), x.rows(), x.cols(), &qx);
-    la::kernels::GemmInt8NT(x.rows(), out_features(), x.cols(),
-                            qx.values.data(), qx.scales.data(),
-                            qw->values.data(), qw->scales.data(),
-                            bias_->value.row(0), out->data(), ctx.pool());
-    return out;
-  }
   autograd::infer::MatMul(x, weight_->value, *out, ctx.pool());
   la::AddRowBroadcast(*out, bias_->value);
   return out;

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "la/quant.h"
-
 namespace dial::nn {
 
 std::vector<autograd::Parameter*> Module::Parameters() {
@@ -58,7 +56,6 @@ util::Status Module::Load(util::BinaryReader& reader) {
     }
     std::copy(data.begin(), data.end(), p->value.data());
   }
-  la::quant::BumpWeightEpoch();  // invalidates cached int8 weights
   return util::Status::OK();
 }
 
@@ -71,15 +68,10 @@ void Module::CopyWeightsFrom(Module& other) {
     DIAL_CHECK_EQ(mine[i]->value.cols(), theirs[i]->value.cols());
     mine[i]->value = theirs[i]->value;
   }
-  la::quant::BumpWeightEpoch();  // invalidates cached int8 weights
 }
 
 autograd::Parameter* Module::AddParameter(const std::string& name, size_t rows,
                                           size_t cols) {
-  // A fresh parameter can land at a freed matrix's address; bumping here
-  // keeps address-keyed quantized-weight caches from resurrecting stale
-  // entries across module rebuilds.
-  la::quant::BumpWeightEpoch();
   params_.push_back(
       std::make_unique<autograd::Parameter>(name_ + "." + name, rows, cols));
   return params_.back().get();

@@ -61,10 +61,6 @@ bool SendAll(int fd, const char* data, size_t len);
 struct ServerOptions {
   std::string socket_path;
   SchedulerOptions scheduler;
-  /// Numeric mode for every worker's inference context (autograd::Precision).
-  /// int8 trades the wire-exact match-score parity with in-process fp32
-  /// scoring for throughput; fp32 (default) keeps bit-exactness.
-  autograd::Precision precision = autograd::Precision::kFloat32;
 };
 
 class Server {

@@ -73,19 +73,19 @@ class ThreadPool {
 
 /// Work (multiply-adds, or a comparable per-element cost) below which
 /// `ParallelFor` runs inline even with a pool. Only the la::kernels GEMM
-/// entry points pass an estimate. 2^19 is the lowest crossover of the three
-/// GEMMs that share it in bench_la_micro's sweep of isolated row-split GEMMs
-/// (`pooled_over_inline` in BENCH_la.json, 2 workers, a 4-core AVX-512
-/// host). Pooled over inline time read 1.17-1.37x at 2^18 multiply-adds
-/// and 0.83-0.98x at 2^19 for fp32 NT, and 1.05-1.38x and 0.78-0.94x for
-/// int8 NT. fp32 NN does some 4x the multiply-adds per second of NT and
-/// crosses later: 1.64-1.84x at 2^19, 1.07-1.14x at 2^20 and 0.81-0.84x at
-/// 2^21, so an NN GEMM between 2^19 and 2^21 runs pooled at a loss of 2-7
-/// us a call. Training tapes carry no pool and always run inline. The
-/// inference engine's GEMMs over a full pack (FFN 480x64x32, above the
-/// cutoff; CLS-mode K/V 480x32x32, below it) reach the pool only when a
-/// call holds a single pack: packs of a multi-pack call run on workers,
-/// where nested calls run inline.
+/// entry points pass an estimate, so NN, TN and NT share it. 2^19 is where
+/// NT, the first of them to gain from the pool, crosses in bench_la_micro's
+/// sweep of isolated row-split GEMMs (`pooled_over_inline` in BENCH_la.json,
+/// 2 workers, a 4-core AVX-512 host, two runs): pooled over inline time
+/// read 1.14-1.46x at 2^18 multiply-adds and 0.82-1.04x at 2^19. NN does
+/// some 4x the multiply-adds per second of NT and crosses later: 1.64-1.84x
+/// at 2^19, 1.07-1.14x at 2^20 and 0.81-0.84x at 2^21, so an NN GEMM
+/// between 2^19 and 2^21 still runs pooled at a loss of 2-7 us a call. TN
+/// runs NN's tile over a strided a and is not in the sweep. Training tapes
+/// carry no pool and always run inline. The inference engine's GEMMs over a
+/// full pack (FFN 480x64x32, above the cutoff; CLS-mode K/V 480x32x32,
+/// below it) reach the pool only when a call holds a single pack: packs of
+/// a multi-pack call run on workers, where nested calls run inline.
 inline constexpr size_t kMinParallelWork = size_t{1} << 19;
 
 /// Splits [0, n) into contiguous chunks and runs `fn(begin, end)` on the

@@ -266,6 +266,14 @@ TEST(Checkpoint, CraftedIndexCacheTagsAreCorruptionNotAborts) {
 TEST(Checkpoint, FingerprintSensitivity) {
   AlConfig config;
   const uint64_t base = AlConfigFingerprint(config, "walmart_amazon");
+  // Checkpoints already on disk carry these values; a fingerprint change
+  // makes every one of them refuse to resume.
+  EXPECT_EQ(base, 0x0c962f00807a0b11ULL);
+  AlConfig golden = DefaultAlConfig(data::Scale::kSmoke, /*seed=*/77);
+  golden.rounds = 2;
+  golden.index_backend = IndexBackend::kFlat;
+  golden.index_refresh = true;
+  EXPECT_EQ(AlConfigFingerprint(golden, "walmart_amazon"), 0xc5bca64634f7d6e7ULL);
   EXPECT_EQ(base, AlConfigFingerprint(config, "walmart_amazon"));
   EXPECT_NE(base, AlConfigFingerprint(config, "abt_buy"));
   AlConfig other = config;

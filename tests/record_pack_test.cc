@@ -194,7 +194,7 @@ TEST(RecordPack, CorruptedFooterAndOffsetsRejected) {
     SCOPED_TRACE(what);
     WriteFile(bad_path, Rechecksum(std::move(mutated)));
     RecordPackReader reader;
-    EXPECT_FALSE(reader.Open(bad_path).ok());
+    EXPECT_EQ(reader.Open(bad_path).code(), util::StatusCode::kCorruption);
   };
 
   {  // Footer magic.
@@ -240,8 +240,17 @@ TEST(RecordPack, CorruptedFooterAndOffsetsRejected) {
     std::memcpy(&b[pos + 16], &o0, sizeof(o0));
     expect_rejected(std::move(b), "non-monotone offsets");
   }
-  {  // Corrupted value length inside a record: Get must die with a check
-     // failure (length exceeds the record region), not read out of bounds.
+  {  // Last offset near 2^64: offset + 8 wraps below the table position.
+    std::string b = bytes;
+    uint64_t pos, count;
+    std::memcpy(&pos, &b[table_pos_at], sizeof(pos));
+    std::memcpy(&count, &b[num_records_at], sizeof(count));
+    const uint64_t wrap = ~uint64_t{0} - 3;
+    std::memcpy(&b[pos + 8 * count], &wrap, sizeof(wrap));
+    expect_rejected(std::move(b), "offset wraps");
+  }
+  {  // A value length past the record region: Open rejects the pack before
+     // Get can reach the length.
     std::string b = bytes;
     uint64_t pos;
     std::memcpy(&pos, &b[table_pos_at], sizeof(pos));
@@ -249,10 +258,7 @@ TEST(RecordPack, CorruptedFooterAndOffsetsRejected) {
     std::memcpy(&rec0, &b[pos + 8], sizeof(rec0));
     const uint64_t huge = 1ull << 40;  // first value's length field
     std::memcpy(&b[rec0 + 8], &huge, sizeof(huge));
-    WriteFile(bad_path, Rechecksum(std::move(b)));
-    RecordPackReader reader;
-    DIAL_ASSERT_OK(reader.Open(bad_path));
-    EXPECT_DEATH(reader.Get(0), "Check failed");
+    expect_rejected(std::move(b), "value length past record region");
   }
 }
 

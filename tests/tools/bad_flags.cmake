@@ -30,3 +30,7 @@ expect_flag_error("--resume requires --checkpoint" ${DIAL_CLI} run --resume)
 expect_flag_error("unknown pruning scheme 'nope'" ${DIAL_CLI} jedai --pruning nope)
 expect_flag_error("unknown dataset 'nope'" ${DIAL_SERVE} --dataset nope)
 expect_flag_error("Unknown flag --nope" ${DIAL_CLI} run --nope)
+# A removed flag stops a script that still passes it with one error line
+# instead of a run.
+expect_flag_error("Unknown flag --precision" ${DIAL_CLI} run --precision int8)
+expect_flag_error("Unknown flag --precision" ${DIAL_SERVE} --precision int8)

@@ -134,10 +134,6 @@ int CmdRun(int argc, char** argv) {
   std::string* checkpoint =
       flags.AddString("checkpoint", "", "write a checkpoint here after each round");
   bool* resume = flags.AddBool("resume", false, "restore --checkpoint before running");
-  std::string* precision = flags.AddString(
-      "precision", "fp32",
-      "fp32|int8 inference numerics (int8 quantizes the engine's linear "
-      "sublayers; not bit-identical, fences checkpoint resume)");
   flags.Parse(argc, argv);
 
   // Every value is checked before the dataset, vocabulary and pretraining
@@ -152,7 +148,6 @@ int CmdRun(int argc, char** argv) {
   al.index_backend = CheckFlag(dial::core::ParseIndexBackend(*backend));
   al.blocker.objective = CheckFlag(dial::core::ParseObjective(*objective));
   al.blocker.negatives = CheckFlag(dial::core::ParseNegativeSource(*negatives));
-  CheckFlag(dial::autograd::ParsePrecision(*precision));
   if (*resume && checkpoint->empty()) {
     CheckFlag(dial::util::Status::InvalidArgument("--resume requires --checkpoint"));
   }
@@ -165,7 +160,6 @@ int CmdRun(int argc, char** argv) {
   al.index_refresh = *refresh;
   if (*refresh_iters > 0) al.refresh.warm_iterations = static_cast<size_t>(*refresh_iters);
   al.refresh.drift_threshold = *drift;
-  al.inference_precision = *precision;
 
   dial::core::Experiment exp = dial::core::PrepareExperiment(*dataset, exp_config);
   dial::core::ActiveLearningLoop loop(&exp.bundle, &exp.vocab,

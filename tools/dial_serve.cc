@@ -248,15 +248,9 @@ int main(int argc, char** argv) {
       "one batch");
   bool* self_test = flags.AddBool(
       "self_test", false, "serve, run a scripted client session, exit (CI smoke)");
-  std::string* precision_text = flags.AddString(
-      "precision", "fp32",
-      "fp32|int8 worker inference numerics (int8 quantizes linear sublayers; "
-      "match scores are no longer bit-identical to fp32 scoring)");
   flags.Parse(argc, argv);
 
   using dial::util::CheckFlag;
-  const dial::autograd::Precision precision =
-      CheckFlag(dial::autograd::ParsePrecision(*precision_text));
   CheckFlag(dial::data::CheckDatasetName(*dataset));
   dial::serve::ServingOptions options;
   options.dataset = *dataset;
@@ -296,7 +290,6 @@ int main(int argc, char** argv) {
   server_options.scheduler.ring_capacity = static_cast<size_t>(*ring);
   server_options.scheduler.default_deadline_ms = *deadline_ms;
   server_options.scheduler.stall_timeout_ms = *stall_ms;
-  server_options.precision = precision;
 
   if (*self_test) {
     return SelfTest(*bundle, *socket_path, std::move(server_options));

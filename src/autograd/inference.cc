@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "autograd/ops.h"
 #include "la/kernels.h"
 #include "util/logging.h"
 
@@ -85,28 +86,29 @@ void TanhInPlace(la::Matrix& x) {
 }
 
 void GeluInPlace(la::Matrix& x) {
-  constexpr float kAlpha = 0.7978845608f;  // sqrt(2/pi), as in ops::Gelu
-  constexpr float kBeta = 0.044715f;
   float* data = x.data();
   for (size_t i = 0; i < x.size(); ++i) {
     const float v = data[i];
-    const float inner = kAlpha * (v + kBeta * v * v * v);
-    data[i] = 0.5f * v * (1.0f + std::tanh(inner));
+    data[i] = 0.5f * v * (1.0f + GeluTanh(v));
   }
 }
 
 void SoftmaxRowsInPlace(la::Matrix& x) {
-  for (size_t r = 0; r < x.rows(); ++r) {
-    float* row = x.row(r);
+  SoftmaxRowsInPlace(x.data(), x.rows(), x.cols());
+}
+
+void SoftmaxRowsInPlace(float* x, size_t rows, size_t cols) {
+  for (size_t r = 0; r < rows; ++r) {
+    float* row = x + r * cols;
     float mx = row[0];
-    for (size_t c = 1; c < x.cols(); ++c) mx = std::max(mx, row[c]);
+    for (size_t c = 1; c < cols; ++c) mx = std::max(mx, row[c]);
     float acc = 0.0f;
-    for (size_t c = 0; c < x.cols(); ++c) {
+    for (size_t c = 0; c < cols; ++c) {
       row[c] = std::exp(row[c] - mx);
       acc += row[c];
     }
     const float inv = 1.0f / acc;
-    for (size_t c = 0; c < x.cols(); ++c) row[c] *= inv;
+    for (size_t c = 0; c < cols; ++c) row[c] *= inv;
   }
 }
 
@@ -122,12 +124,16 @@ void AddInto(const la::Matrix& a, const la::Matrix& b, la::Matrix& out) {
 }
 
 void LayerNormRows(const la::Matrix& x, la::Matrix& out, float eps) {
-  const size_t n = x.cols();
-  DIAL_CHECK_GT(n, 0u);
   DIAL_CHECK_EQ(out.rows(), x.rows());
-  DIAL_CHECK_EQ(out.cols(), n);
-  for (size_t r = 0; r < x.rows(); ++r) {
-    const float* row = x.row(r);
+  DIAL_CHECK_EQ(out.cols(), x.cols());
+  LayerNormRows(x.data(), x.rows(), x.cols(), out.data(), nullptr, eps);
+}
+
+void LayerNormRows(const float* x, size_t rows, size_t n, float* out,
+                   float* inv_sigma, float eps) {
+  DIAL_CHECK_GT(n, 0u);
+  for (size_t r = 0; r < rows; ++r) {
+    const float* row = x + r * n;
     float mean = 0.0f;
     for (size_t c = 0; c < n; ++c) mean += row[c];
     mean /= static_cast<float>(n);
@@ -138,7 +144,8 @@ void LayerNormRows(const la::Matrix& x, la::Matrix& out, float eps) {
     }
     var /= static_cast<float>(n);
     const float is = 1.0f / std::sqrt(var + eps);
-    float* orow = out.row(r);
+    if (inv_sigma != nullptr) inv_sigma[r] = is;
+    float* orow = out + r * n;
     for (size_t c = 0; c < n; ++c) orow[c] = (row[c] - mean) * is;
   }
 }

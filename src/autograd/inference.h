@@ -133,12 +133,14 @@ void MatMulTransposeB(const la::Matrix& a, const la::Matrix& b,
 /// x = tanh(x) elementwise (ops::Tanh forward).
 void TanhInPlace(la::Matrix& x);
 
-/// x = gelu(x) elementwise — BERT's tanh approximation, same constants as
-/// ops::Gelu.
+/// x = gelu(x) elementwise — BERT's tanh approximation, through ops.h's
+/// GeluTanh like ops::Gelu.
 void GeluInPlace(la::Matrix& x);
 
 /// Row-wise softmax in place (ops::SoftmaxRows forward).
 void SoftmaxRowsInPlace(la::Matrix& x);
+/// The same over a dense (rows, cols) block.
+void SoftmaxRowsInPlace(float* x, size_t rows, size_t cols);
 
 /// out = a + b elementwise (ops::Add forward); `out` may alias `a` or `b`.
 void AddInto(const la::Matrix& a, const la::Matrix& b, la::Matrix& out);
@@ -146,6 +148,10 @@ void AddInto(const la::Matrix& a, const la::Matrix& b, la::Matrix& out);
 /// out = per-row layer norm of x, no affine (ops::LayerNormRows forward).
 /// `out` may alias `x`.
 void LayerNormRows(const la::Matrix& x, la::Matrix& out, float eps = 1e-5f);
+/// The same over dense (rows, n) blocks, also storing each row's 1/sigma
+/// in `inv_sigma` when it is non-null. `out` may alias `x`.
+void LayerNormRows(const float* x, size_t rows, size_t n, float* out,
+                   float* inv_sigma, float eps = 1e-5f);
 
 /// Row-wise L2 normalization in place with ops::NormalizeRows semantics
 /// (norm clamped to eps, multiply by reciprocal) — NOT

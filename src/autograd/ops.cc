@@ -14,7 +14,9 @@ Tape& TapeOf(Var v) {
   return *v.tape();
 }
 
-/// Creates the output node; attaches `make_backward()` only if needed.
+/// Creates the output node; attaches `make_backward(out)` only if needed.
+/// The factory runs before MakeOp returns, so it may capture the caller's
+/// locals by reference and move them into the closure it returns.
 template <typename BackwardFactory>
 Var MakeOp(Tape& tape, la::Matrix value, bool requires_grad,
            BackwardFactory make_backward) {
@@ -99,8 +101,8 @@ Var AddN(const std::vector<Var>& xs) {
   std::vector<Node*> nodes;
   nodes.reserve(xs.size());
   for (Var x : xs) nodes.push_back(x.node());
-  return MakeOp(TapeOf(xs[0]), std::move(v), rg, [nodes](Node* out) {
-    return [nodes, out]() {
+  return MakeOp(TapeOf(xs[0]), std::move(v), rg, [&nodes](Node* out) {
+    return [nodes = std::move(nodes), out]() {
       for (Node* n : nodes) {
         if (n->requires_grad) la::AddInPlace(n->EnsureGrad(), out->grad);
       }
@@ -183,21 +185,9 @@ Var Relu(Var x) {
 }
 
 Var Gelu(Var x) {
-  // tanh approximation: 0.5 x (1 + tanh(sqrt(2/pi)(x + 0.044715 x^3))).
-  constexpr float kAlpha = 0.7978845608f;  // sqrt(2/pi)
-  constexpr float kBeta = 0.044715f;
   return UnaryOp(
-      x,
-      [](float v) {
-        const float inner = kAlpha * (v + kBeta * v * v * v);
-        return 0.5f * v * (1.0f + std::tanh(inner));
-      },
-      [](float v, float) {
-        const float inner = kAlpha * (v + kBeta * v * v * v);
-        const float t = std::tanh(inner);
-        const float dinner = kAlpha * (1.0f + 3.0f * kBeta * v * v);
-        return 0.5f * (1.0f + t) + 0.5f * v * (1.0f - t * t) * dinner;
-      });
+      x, [](float v) { return 0.5f * v * (1.0f + GeluTanh(v)); },
+      [](float v, float) { return GeluGrad(v, GeluTanh(v)); });
 }
 
 Var Sigmoid(Var x) {
@@ -421,8 +411,8 @@ Var ConcatCols(const std::vector<Var>& xs) {
   }
   std::vector<Node*> nodes;
   for (Var x : xs) nodes.push_back(x.node());
-  return MakeOp(TapeOf(xs[0]), std::move(v), rg, [nodes](Node* out) {
-    return [nodes, out]() {
+  return MakeOp(TapeOf(xs[0]), std::move(v), rg, [&nodes](Node* out) {
+    return [nodes = std::move(nodes), out]() {
       size_t offset = 0;
       for (Node* n : nodes) {
         if (n->requires_grad) {
@@ -459,8 +449,8 @@ Var ConcatRows(const std::vector<Var>& xs) {
   }
   std::vector<Node*> nodes;
   for (Var x : xs) nodes.push_back(x.node());
-  return MakeOp(TapeOf(xs[0]), std::move(v), rg, [nodes](Node* out) {
-    return [nodes, out]() {
+  return MakeOp(TapeOf(xs[0]), std::move(v), rg, [&nodes](Node* out) {
+    return [nodes = std::move(nodes), out]() {
       size_t offset = 0;
       for (Node* n : nodes) {
         if (n->requires_grad) {
@@ -581,8 +571,8 @@ Var RowMax(Var x) {
   }
   Node* nx = x.node();
   return MakeOp(TapeOf(x), std::move(v), x.requires_grad(),
-                [nx, argmax = std::move(argmax)](Node* out) {
-                  return [nx, argmax, out]() {
+                [nx, &argmax](Node* out) {
+                  return [nx, argmax = std::move(argmax), out]() {
                     la::Matrix& g = nx->EnsureGrad();
                     for (size_t r = 0; r < g.rows(); ++r) {
                       g(r, argmax[r]) += out->grad(r, 0);
@@ -645,10 +635,9 @@ Var LayerNormRows(Var x, float eps) {
     for (size_t c = 0; c < n; ++c) vrow[c] = (row[c] - mean) * is;
   }
   Node* nx = x.node();
-  // inv_sigma is moved into the closure for the backward pass.
   return MakeOp(TapeOf(x), std::move(v), x.requires_grad(),
-                [nx, inv_sigma = std::move(inv_sigma)](Node* out) {
-                  return [nx, inv_sigma, out]() {
+                [nx, &inv_sigma](Node* out) {
+                  return [nx, inv_sigma = std::move(inv_sigma), out]() {
                     // dx_i = is * (dy_i - mean(dy) - xhat_i * mean(dy ⊙ xhat))
                     la::Matrix& g = nx->EnsureGrad();
                     const size_t n = g.cols();
@@ -687,8 +676,8 @@ Var NormalizeRows(Var x, float eps) {
   }
   Node* nx = x.node();
   return MakeOp(TapeOf(x), std::move(v), x.requires_grad(),
-                [nx, inv_norm = std::move(inv_norm)](Node* out) {
-                  return [nx, inv_norm, out]() {
+                [nx, &inv_norm](Node* out) {
+                  return [nx, inv_norm = std::move(inv_norm), out]() {
                     // dx = (dy - y (y·dy)) / ||x||
                     la::Matrix& g = nx->EnsureGrad();
                     const size_t n = g.cols();
@@ -707,21 +696,24 @@ Var NormalizeRows(Var x, float eps) {
                 });
 }
 
-Var Dropout(Var x, float p, util::Rng& rng, bool training) {
-  if (!training || p <= 0.0f) return x;
+void DropoutMask(float p, util::Rng& rng, float* mask, size_t n) {
+  DIAL_CHECK_GT(p, 0.0f);
   DIAL_CHECK_LT(p, 1.0f);
   const float keep = 1.0f - p;
   const float scale = 1.0f / keep;
+  for (size_t i = 0; i < n; ++i) mask[i] = rng.Bernoulli(keep) ? scale : 0.0f;
+}
+
+Var Dropout(Var x, float p, util::Rng& rng, bool training) {
+  if (!training || p <= 0.0f) return x;
   la::Matrix mask(x.rows(), x.cols());
-  for (size_t i = 0; i < mask.size(); ++i) {
-    mask.data()[i] = rng.Bernoulli(keep) ? scale : 0.0f;
-  }
+  DropoutMask(p, rng, mask.data(), mask.size());
   la::Matrix v;
   la::Hadamard(x.value(), mask, v);
   Node* nx = x.node();
   return MakeOp(TapeOf(x), std::move(v), x.requires_grad(),
-                [nx, mask = std::move(mask)](Node* out) {
-                  return [nx, mask, out]() {
+                [nx, &mask](Node* out) {
+                  return [nx, mask = std::move(mask), out]() {
                     la::Matrix& g = nx->EnsureGrad();
                     for (size_t i = 0; i < g.size(); ++i) {
                       g.data()[i] += out->grad.data()[i] * mask.data()[i];
@@ -836,7 +828,7 @@ Var BceWithLogits(Var logits, const std::vector<float>& targets) {
   v(0, 0) = static_cast<float>(loss / static_cast<double>(m));
   Node* nl = logits.node();
   return MakeOp(TapeOf(logits), std::move(v), logits.requires_grad(),
-                [nl, targets](Node* out) {
+                [nl, &targets](Node* out) {
                   return [nl, targets, out]() {
                     const float g = out->grad(0, 0) / static_cast<float>(targets.size());
                     la::Matrix& gx = nl->EnsureGrad();
@@ -872,7 +864,7 @@ Var SoftmaxCrossEntropy(Var logits, const std::vector<int>& targets) {
   Node* nl = logits.node();
   const float inv_valid = 1.0f / static_cast<float>(valid);
   return MakeOp(TapeOf(logits), std::move(v), logits.requires_grad(),
-                [nl, targets, inv_valid](Node* out) {
+                [nl, &targets, inv_valid](Node* out) {
                   return [nl, targets, inv_valid, out]() {
                     const float g = out->grad(0, 0) * inv_valid;
                     la::Matrix& gx = nl->EnsureGrad();

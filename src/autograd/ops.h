@@ -1,6 +1,7 @@
 #ifndef DIAL_AUTOGRAD_OPS_H_
 #define DIAL_AUTOGRAD_OPS_H_
 
+#include <cmath>
 #include <vector>
 
 #include "autograd/tape.h"
@@ -34,8 +35,27 @@ Var AddBroadcastScalar(Var x, Var s);
 // --------------------------------------------------------------- activations
 Var Tanh(Var x);
 Var Relu(Var x);
-/// Gaussian error linear unit (tanh approximation, as in BERT).
+/// Gaussian error linear unit (tanh approximation, as in BERT):
+/// 0.5 x (1 + GeluTanh(x)).
 Var Gelu(Var x);
+
+/// GELU's tanh term, tanh(sqrt(2/pi) (x + 0.044715 x^3)). Gelu, the
+/// inference engine and the transformer's FFN node all evaluate GELU
+/// through it; the FFN node keeps it for the backward.
+inline float GeluTanh(float x) {
+  constexpr float kAlpha = 0.7978845608f;  // sqrt(2/pi)
+  constexpr float kBeta = 0.044715f;
+  return std::tanh(kAlpha * (x + kBeta * x * x * x));
+}
+
+/// d/dx of 0.5 x (1 + t) at x, given t = GeluTanh(x).
+inline float GeluGrad(float x, float t) {
+  constexpr float kAlpha = 0.7978845608f;
+  constexpr float kBeta = 0.044715f;
+  const float dinner = kAlpha * (1.0f + 3.0f * kBeta * x * x);
+  return 0.5f * (1.0f + t) + 0.5f * x * (1.0f - t * t) * dinner;
+}
+
 Var Sigmoid(Var x);
 Var Exp(Var x);
 /// Natural log; inputs must be strictly positive.
@@ -96,6 +116,10 @@ Var NormalizeRows(Var x, float eps = 1e-8f);
 /// Inverted dropout. Active only when `training`; mask drawn from `rng` at
 /// graph-construction time (deterministic given tape build order).
 Var Dropout(Var x, float p, util::Rng& rng, bool training);
+
+/// Dropout's mask for n elements, drawn from `rng` in element order: each
+/// entry is 1/(1-p) with probability 1-p, else 0. Needs 0 < p < 1.
+void DropoutMask(float p, util::Rng& rng, float* mask, size_t n);
 
 // ---------------------------------------------------------------- embeddings
 /// Gathers rows `ids` of the embedding table; backward scatter-adds directly

@@ -1,6 +1,16 @@
 #include "autograd/tape.h"
 
+#include <algorithm>
+#include <new>
+
 namespace dial::autograd {
+
+namespace {
+// Allocations are whole 64-byte lines; a block holds 256 KB unless one
+// request needs more.
+constexpr size_t kLineFloats = la::kMatrixAlignment / sizeof(float);
+constexpr size_t kBlockFloats = size_t{1} << 16;
+}  // namespace
 
 float Var::scalar() const {
   DIAL_CHECK_EQ(node_->rows(), 1u);
@@ -41,6 +51,28 @@ Node* Tape::NewNode(la::Matrix value, bool requires_grad) {
   return raw;
 }
 
+void Tape::AlignedFree::operator()(float* p) const {
+  ::operator delete(p, std::align_val_t(la::kMatrixAlignment));
+}
+
+float* Tape::Alloc(size_t n) {
+  n = (n + kLineFloats - 1) / kLineFloats * kLineFloats;
+  // Blocks past block_ are left from scratch that Backward() reclaimed.
+  while (block_ < blocks_.size() && used_ + n > blocks_[block_].size) {
+    ++block_;
+    used_ = 0;
+  }
+  if (block_ == blocks_.size()) {
+    const size_t size = std::max(n, kBlockFloats);
+    float* data = static_cast<float*>(::operator new(
+        size * sizeof(float), std::align_val_t(la::kMatrixAlignment)));
+    blocks_.push_back({std::unique_ptr<float[], AlignedFree>(data), size});
+  }
+  float* out = blocks_[block_].data.get() + used_;
+  used_ += n;
+  return out;
+}
+
 void Tape::Backward(Var loss) {
   DIAL_CHECK(!backward_ran_) << "Backward may run once per tape";
   backward_ran_ = true;
@@ -51,7 +83,11 @@ void Tape::Backward(Var loss) {
   for (size_t i = nodes_.size(); i-- > 0;) {
     Node* n = nodes_[i].get();
     if (!n->requires_grad || !n->backward || !n->HasGrad()) continue;
+    const size_t block = block_;
+    const size_t used = used_;
     n->backward();
+    block_ = block;  // reclaim the scratch this backward took
+    used_ = used;
   }
 }
 

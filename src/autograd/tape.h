@@ -24,6 +24,16 @@
 /// inputs skip registering a backward closure entirely, which makes
 /// frozen-transformer paths (the DIAL blocker) nearly free to differentiate
 /// through.
+///
+/// Node granularity: each op in ops.h records one node, and each `Leaf`
+/// another. The transformer's sublayers record coarse nodes instead
+/// (nn/transformer.h, nn/layers.h): self-attention, the FFN, and each
+/// LayerNorm with its residual add are one node each, with a hand-written
+/// backward that replays the per-op sweep bit for bit. A coarse node keeps
+/// the activations its backward reads in storage the tape owns (`Alloc`),
+/// and binds its parameters without `Leaf` nodes: it sums each parameter's
+/// gradient for its sequence from +0 and adds that to `Parameter::grad`
+/// when its backward runs, where the per-op sweep's `Leaf` did.
 
 namespace dial::autograd {
 
@@ -113,9 +123,17 @@ class Tape {
   /// `param->grad` (which must already be shaped like `param->value`).
   Var Leaf(Parameter* param);
 
-  /// Internal: creates a derived node. `requires_grad` should be the OR of
-  /// the inputs'. The caller fills `backward` only when requires_grad.
+  /// Internal: creates a derived node (ops.cc and the coarse nodes in nn).
+  /// `requires_grad` should be the OR of the inputs'. The caller fills
+  /// `backward` only when requires_grad.
   Node* NewNode(la::Matrix value, bool requires_grad);
+
+  /// Storage the tape owns: `n` floats, 64-byte aligned, contents
+  /// unspecified. Taken while recording, it lives until the tape is
+  /// destroyed (a coarse node's saved activations); taken inside a node's
+  /// backward, it is scratch that Backward() reclaims when that backward
+  /// returns.
+  float* Alloc(size_t n);
 
   /// Runs the reverse sweep from `loss` (must be 1x1). May be called once.
   void Backward(Var loss);
@@ -123,7 +141,19 @@ class Tape {
   size_t num_nodes() const { return nodes_.size(); }
 
  private:
+  struct AlignedFree {
+    void operator()(float* p) const;
+  };
+  struct Block {
+    std::unique_ptr<float[], AlignedFree> data;
+    size_t size = 0;
+  };
+
   std::vector<std::unique_ptr<Node>> nodes_;
+  // Alloc's bump arena: it carves from blocks_[block_] at offset used_.
+  std::vector<Block> blocks_;
+  size_t block_ = 0;
+  size_t used_ = 0;
   bool backward_ran_ = false;
 };
 

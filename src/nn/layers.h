@@ -17,6 +17,13 @@
 /// context's Tape (training), and `InferForward` runs tape-free through an
 /// `autograd::InferenceContext` arena (inference) — same arithmetic, zero
 /// graph bookkeeping, bit-identical outputs with dropout off.
+///
+/// Node granularity: `Linear::Forward` records the per-op nodes of ops.h
+/// (two `Leaf`s, MatMul, AddRowBroadcast). `LayerNorm::Forward`, with or
+/// without a residual, records one coarse node whose hand-written backward
+/// replays the per-op sweep bit for bit. `Linear::ForwardInto` and
+/// `Linear::Backward` are the raw pieces the transformer's coarse nodes
+/// build on (nn/transformer.h).
 
 namespace dial::nn {
 
@@ -30,6 +37,17 @@ class Linear : public Module {
   /// Tape-free y = x W + b into a borrowed arena matrix (x: (m, in)).
   autograd::Scratch InferForward(autograd::InferenceContext& ctx,
                                  const la::Matrix& x) const;
+
+  /// For coarse tape nodes: y(m, out) = x(m, in) W + b with Forward's
+  /// arithmetic, over dense row-major buffers; y is overwritten.
+  void ForwardInto(const float* x, size_t m, float* y) const;
+
+  /// For coarse tape nodes: the backward of one ForwardInto, in the order
+  /// the per-op sweep runs it. dx(m, in) += dy W^T when dx is non-null; then
+  /// W's gradient x^T dy and b's column sums of dy, each summed from +0 in
+  /// `tape` scratch, are added to the parameters' grad, as a Leaf would.
+  void Backward(autograd::Tape& tape, const float* x, size_t m,
+                const float* dy, float* dx);
 
   size_t in_features() const { return weight_->value.rows(); }
   size_t out_features() const { return weight_->value.cols(); }
@@ -49,7 +67,12 @@ class LayerNorm : public Module {
  public:
   LayerNorm(std::string name, size_t dim);
 
-  autograd::Var Forward(ForwardContext& ctx, autograd::Var x);
+  /// One tape node: LN(x) * gain + bias. With `sublayer`, the post-LN
+  /// residual LN(x + Dropout(sublayer)) * gain + bias, dropout active when
+  /// ctx.training and drawn from ctx.rng as autograd::Dropout draws it.
+  autograd::Var Forward(ForwardContext& ctx, autograd::Var x,
+                        autograd::Var sublayer = autograd::Var(),
+                        float dropout = 0.0f);
 
   /// Tape-free per-row layer norm + affine, written into `out` (pre-shaped
   /// like x; may alias x).

@@ -43,41 +43,184 @@ TransformerLayer::TransformerLayer(std::string name, const TransformerConfig& co
   AddChild(&ln_ffn_);
 }
 
-Var TransformerLayer::SelfAttention(ForwardContext& ctx, Var x) {
-  const size_t head_dim = config_.dim / config_.num_heads;
-  const float scale = 1.0f / std::sqrt(static_cast<float>(head_dim));
-  Var q = wq_.Forward(ctx, x);
-  Var k = wk_.Forward(ctx, x);
-  Var v = wv_.Forward(ctx, x);
-  std::vector<Var> head_outputs;
-  head_outputs.reserve(config_.num_heads);
-  for (size_t h = 0; h < config_.num_heads; ++h) {
-    const size_t begin = h * head_dim;
-    const size_t end = begin + head_dim;
-    Var qh = autograd::SliceCols(q, begin, end);
-    Var kh = autograd::SliceCols(k, begin, end);
-    Var vh = autograd::SliceCols(v, begin, end);
-    Var scores = autograd::ScalarMul(autograd::MatMulTransposeB(qh, kh), scale);
-    Var attn = autograd::SoftmaxRows(scores);
-    attn = autograd::Dropout(attn, config_.dropout, *ctx.rng, ctx.training);
-    head_outputs.push_back(autograd::MatMul(attn, vh));
-  }
-  Var merged = autograd::ConcatCols(head_outputs);
-  return wo_.Forward(ctx, merged);
-}
-
 namespace {
 
-/// Copies columns [c0, c0 + cols) of `src` into the dense (rows, cols) `dst`.
-void SliceColsInto(const la::Matrix& src, size_t c0, size_t cols,
-                   la::Matrix& dst) {
-  for (size_t r = 0; r < src.rows(); ++r) {
-    const float* s = src.row(r) + c0;
-    std::copy(s, s + cols, dst.row(r));
+/// Copies columns [c0, c0 + cols) of the dense (rows, stride) `src` into
+/// the dense (rows, cols) `dst`.
+void CopyCols(const float* src, size_t rows, size_t stride, size_t c0,
+              size_t cols, float* dst) {
+  for (size_t r = 0; r < rows; ++r) {
+    const float* s = src + r * stride + c0;
+    std::copy(s, s + cols, dst + r * cols);
   }
+}
+
+/// Writes the dense (rows, cols) `src` into columns [c0, c0 + cols) of the
+/// dense (rows, stride) `dst`.
+void PlaceCols(const float* src, size_t rows, size_t cols, size_t stride,
+               size_t c0, float* dst) {
+  for (size_t r = 0; r < rows; ++r) {
+    std::copy(src + r * cols, src + (r + 1) * cols, dst + r * stride + c0);
+  }
+}
+
+/// Tape storage for n floats, zeroed: a GEMM accumulator.
+float* Zeroed(autograd::Tape& tape, size_t n) {
+  float* p = tape.Alloc(n);
+  std::fill(p, p + n, 0.0f);
+  return p;
 }
 
 }  // namespace
+
+Var TransformerLayer::SelfAttention(ForwardContext& ctx, Var x) {
+  autograd::Tape& tape = *ctx.tape;
+  const size_t len = x.rows();
+  const size_t d = config_.dim;
+  const size_t heads = config_.num_heads;
+  const size_t head_dim = d / heads;
+  const size_t head_size = len * head_dim;  // one head's (len, head_dim)
+  const size_t probs_size = len * len;      // one head's (len, len)
+  const float scale = 1.0f / std::sqrt(static_cast<float>(head_dim));
+  const bool dropout = ctx.training && config_.dropout > 0.0f;
+  DIAL_CHECK_EQ(x.cols(), d);
+
+  // Saved for the backward: q, k and v split into per-head (len, head_dim)
+  // blocks, each head's attention probabilities, their dropout masks and
+  // the dropped probabilities the value GEMM read, and the merged head
+  // outputs, which first hold each projection's full-width output.
+  float* qkv = tape.Alloc(3 * len * d);
+  float* probs = tape.Alloc(heads * probs_size);
+  float* masks = dropout ? tape.Alloc(heads * probs_size) : nullptr;
+  float* dropped = dropout ? tape.Alloc(heads * probs_size) : probs;
+  float* merged = tape.Alloc(len * d);
+  float* head_out = tape.Alloc(head_size);
+  const Linear* projections[3] = {&wq_, &wk_, &wv_};
+  for (size_t p = 0; p < 3; ++p) {
+    projections[p]->ForwardInto(x.value().data(), len, merged);
+    for (size_t h = 0; h < heads; ++h) {
+      CopyCols(merged, len, d, h * head_dim, head_dim,
+               qkv + (p * heads + h) * head_size);
+    }
+  }
+  for (size_t h = 0; h < heads; ++h) {
+    const float* q = qkv + h * head_size;
+    const float* k = qkv + (heads + h) * head_size;
+    const float* v = qkv + (2 * heads + h) * head_size;
+    float* a = probs + h * probs_size;
+    std::fill(a, a + probs_size, 0.0f);
+    la::kernels::GemmNT(len, len, head_dim, q, k, a);
+    for (size_t i = 0; i < probs_size; ++i) a[i] *= scale;
+    autograd::infer::SoftmaxRowsInPlace(a, len, len);
+    if (dropout) {
+      float* mask = masks + h * probs_size;
+      float* ad = dropped + h * probs_size;
+      autograd::DropoutMask(config_.dropout, *ctx.rng, mask, probs_size);
+      for (size_t i = 0; i < probs_size; ++i) ad[i] = a[i] * mask[i];
+    }
+    std::fill(head_out, head_out + head_size, 0.0f);
+    la::kernels::GemmNN(len, head_dim, len, dropped + h * probs_size, v,
+                        head_out);
+    PlaceCols(head_out, len, head_dim, d, h * head_dim, merged);
+  }
+  la::Matrix out(len, d);
+  wo_.ForwardInto(merged, len, out.data());
+
+  autograd::Node* node = tape.NewNode(std::move(out), /*requires_grad=*/true);
+  autograd::Node* in = x.node();
+  node->backward = [this, node, in, qkv, probs, masks, dropped, merged]() {
+    autograd::Tape& tape = *node->tape;
+    const size_t len = node->rows();
+    const size_t d = config_.dim;
+    const size_t heads = config_.num_heads;
+    const size_t head_dim = d / heads;
+    const size_t head_size = len * head_dim;
+    const size_t probs_size = len * len;
+    const float scale = 1.0f / std::sqrt(static_cast<float>(head_dim));
+    float* dmerged = Zeroed(tape, len * d);
+    wo_.Backward(tape, merged, len, node->grad.data(), dmerged);
+    // dq, dk and dv, each (len, d); the heads fill disjoint columns.
+    float* dqkv = tape.Alloc(3 * len * d);
+    float* dhead = tape.Alloc(head_size);
+    float* dprobs = tape.Alloc(probs_size);
+    float* dpart = tape.Alloc(head_size);
+    for (size_t h = 0; h < heads; ++h) {
+      const size_t c0 = h * head_dim;
+      const float* q = qkv + h * head_size;
+      const float* k = qkv + (heads + h) * head_size;
+      const float* v = qkv + (2 * heads + h) * head_size;
+      const float* a = probs + h * probs_size;
+      CopyCols(dmerged, len, d, c0, head_dim, dhead);
+      std::fill(dprobs, dprobs + probs_size, 0.0f);
+      la::kernels::GemmNT(len, len, head_dim, dhead, v, dprobs);
+      std::fill(dpart, dpart + head_size, 0.0f);
+      la::kernels::GemmTN(len, head_dim, len, dropped + h * probs_size, dhead,
+                          dpart);
+      PlaceCols(dpart, len, head_dim, d, c0, dqkv + 2 * len * d);
+      if (masks != nullptr) {
+        const float* mask = masks + h * probs_size;
+        for (size_t i = 0; i < probs_size; ++i) dprobs[i] *= mask[i];
+      }
+      // Softmax, then the score scale: ds = scale * y (dy - dy.y) per row.
+      for (size_t r = 0; r < len; ++r) {
+        const float* y = a + r * len;
+        float* dy = dprobs + r * len;
+        float dot = 0.0f;
+        for (size_t c = 0; c < len; ++c) dot += dy[c] * y[c];
+        for (size_t c = 0; c < len; ++c) dy[c] = scale * (y[c] * (dy[c] - dot));
+      }
+      std::fill(dpart, dpart + head_size, 0.0f);
+      la::kernels::GemmNN(len, head_dim, len, dprobs, k, dpart);
+      PlaceCols(dpart, len, head_dim, d, c0, dqkv);
+      std::fill(dpart, dpart + head_size, 0.0f);
+      la::kernels::GemmTN(len, head_dim, len, dprobs, q, dpart);
+      PlaceCols(dpart, len, head_dim, d, c0, dqkv + len * d);
+    }
+    // The input's gradient already holds the residual's; v, k and q add
+    // theirs in the order the per-op sweep reached them.
+    float* dx = in->requires_grad ? in->EnsureGrad().data() : nullptr;
+    const float* xv = in->value().data();
+    wv_.Backward(tape, xv, len, dqkv + 2 * len * d, dx);
+    wk_.Backward(tape, xv, len, dqkv + len * d, dx);
+    wq_.Backward(tape, xv, len, dqkv, dx);
+  };
+  return Var(node);
+}
+
+Var TransformerLayer::FeedForward(ForwardContext& ctx, Var x) {
+  autograd::Tape& tape = *ctx.tape;
+  const size_t len = x.rows();
+  const size_t size = len * config_.ffn_dim;
+  DIAL_CHECK_EQ(x.cols(), config_.dim);
+  // Saved for the backward: ffn_in's output, its GELU tanh (so the backward
+  // does not evaluate tanh again) and the GELU output.
+  float* pre = tape.Alloc(size);
+  float* gelu_tanh = tape.Alloc(size);
+  float* act = tape.Alloc(size);
+  ffn_in_.ForwardInto(x.value().data(), len, pre);
+  for (size_t i = 0; i < size; ++i) {
+    gelu_tanh[i] = autograd::GeluTanh(pre[i]);
+    act[i] = 0.5f * pre[i] * (1.0f + gelu_tanh[i]);
+  }
+  la::Matrix out(len, config_.dim);
+  ffn_out_.ForwardInto(act, len, out.data());
+
+  autograd::Node* node = tape.NewNode(std::move(out), /*requires_grad=*/true);
+  autograd::Node* in = x.node();
+  node->backward = [this, node, in, pre, gelu_tanh, act]() {
+    autograd::Tape& tape = *node->tape;
+    const size_t len = node->rows();
+    const size_t size = len * config_.ffn_dim;
+    float* dact = Zeroed(tape, size);
+    ffn_out_.Backward(tape, act, len, node->grad.data(), dact);
+    for (size_t i = 0; i < size; ++i) {
+      dact[i] *= autograd::GeluGrad(pre[i], gelu_tanh[i]);
+    }
+    ffn_in_.Backward(tape, in->value().data(), len, dact,
+                     in->requires_grad ? in->EnsureGrad().data() : nullptr);
+  };
+  return Var(node);
+}
 
 void TransformerLayer::InferForward(autograd::InferenceContext& ctx, size_t batch,
                                     size_t len, la::Matrix& x) const {
@@ -106,7 +249,8 @@ void TransformerLayer::InferForward(autograd::InferenceContext& ctx, size_t batc
     for (int p = 0; p < 3; ++p) {
       for (size_t h = 0; h < heads; ++h) {
         const size_t c0 = h * head_dim;
-        SliceColsInto(projections[p]->weight_values(), c0, head_dim, *wslice);
+        const la::Matrix& w = projections[p]->weight_values();
+        CopyCols(w.data(), w.rows(), w.cols(), c0, head_dim, wslice->data());
         std::copy(projections[p]->bias_values().row(0) + c0,
                   projections[p]->bias_values().row(0) + c0 + head_dim,
                   bslice->row(0));
@@ -248,11 +392,9 @@ void TransformerLayer::InferForwardCls(autograd::InferenceContext& ctx,
 
 Var TransformerLayer::Forward(ForwardContext& ctx, Var x) {
   Var attn = SelfAttention(ctx, x);
-  attn = autograd::Dropout(attn, config_.dropout, *ctx.rng, ctx.training);
-  x = ln_attn_.Forward(ctx, autograd::Add(x, attn));
-  Var ffn = ffn_out_.Forward(ctx, autograd::Gelu(ffn_in_.Forward(ctx, x)));
-  ffn = autograd::Dropout(ffn, config_.dropout, *ctx.rng, ctx.training);
-  return ln_ffn_.Forward(ctx, autograd::Add(x, ffn));
+  x = ln_attn_.Forward(ctx, x, attn, config_.dropout);
+  Var ffn = FeedForward(ctx, x);
+  return ln_ffn_.Forward(ctx, x, ffn, config_.dropout);
 }
 
 TransformerEncoder::TransformerEncoder(std::string name, TransformerConfig config,

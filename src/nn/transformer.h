@@ -14,6 +14,18 @@
 /// is done by building several sequences on one tape and averaging their
 /// losses, which avoids padding/masking logic entirely.
 ///
+/// On the Tape, each `TransformerLayer` records four coarse nodes, one per
+/// sublayer: self-attention (q/k/v, per-head scores, softmax, dropout,
+/// output projection), the residual add + LayerNorm after it, the FFN (both
+/// linears and GELU), and the second residual add + LayerNorm. Their
+/// hand-written backwards replay the per-op composition of ops.h bit for
+/// bit: the same la::kernels calls and layouts, every gradient summed from
+/// +0 in per-op order (the layer input takes the residual's gradient, then
+/// v's, k's and q's), each parameter's gradient for the sequence added to
+/// `Parameter::grad` when the node's backward runs, and dropout masks drawn
+/// from ctx.rng in the same order. nn_test pins values, gradients and the
+/// rng stream against that composition. The embedding sum stays per-op.
+///
 /// The inference engine adds a second, tape-free path (`InferForward`):
 /// same-length sequences are packed into one (batch·len, dim) activation so
 /// every linear layer runs as a single matrix-matrix GEMM, while attention
@@ -47,6 +59,7 @@ class TransformerLayer : public Module {
  public:
   TransformerLayer(std::string name, const TransformerConfig& config, util::Rng& rng);
 
+  /// Records four tape nodes (see the file comment).
   autograd::Var Forward(ForwardContext& ctx, autograd::Var x);
 
   /// Tape-free forward over `batch` packed same-length sequences: x is
@@ -64,7 +77,10 @@ class TransformerLayer : public Module {
                        const la::Matrix& x, la::Matrix& cls) const;
 
  private:
+  /// The coarse self-attention node: wo(MultiHead(x)), before dropout.
   autograd::Var SelfAttention(ForwardContext& ctx, autograd::Var x);
+  /// The coarse FFN node: ffn_out(Gelu(ffn_in(x))), before dropout.
+  autograd::Var FeedForward(ForwardContext& ctx, autograd::Var x);
 
   const TransformerConfig& config_;
   Linear wq_;

@@ -11,15 +11,16 @@
 /// Disk cache for pretrained TPLM weights, so benches and tests that share a
 /// dataset reuse one pretrained model instead of re-running MLM. The key
 /// fingerprints the transformer shape, `max_single_len`, the pretrain
-/// options (seed included), the corpus, and la::kernels::OutputDigest(): the
-/// la/kernels.h accumulation order decides the weights' bits, so a build
-/// under another contract misses instead of loading them. Plain rebuilds,
-/// and every dispatch tier, keep the digest and hit. Other code the weights
-/// depend on (autograd, the optimizer, the MLM loop) is not in the key: the
-/// default directory and the tests' TempDir() caches outlive builds, so
-/// after such a change a warm cache still loads weights another build
-/// pretrained. Whatever must pin this build's pretraining (al_golden_test's
-/// golden-file case) runs uncached.
+/// options (seed included) and the corpus, plus two digests of this build's
+/// arithmetic: la::kernels::OutputDigest(), the kernels' output bits on
+/// probes that reach every 16-lane chain and tile edge, and
+/// PretrainDigest(), the weights a tiny pretraining run ends with, which
+/// covers autograd, the coarse transformer nodes, the optimizer and the
+/// pretraining loops. A build that would pretrain other bits misses instead
+/// of loading weights another build pretrained. Plain rebuilds, and every
+/// dispatch tier, keep both digests and hit. al_golden_test's golden-file
+/// case still pretrains uncached, so it pins this build's pretraining
+/// whatever a cache holds.
 
 namespace dial::tplm {
 
@@ -52,6 +53,15 @@ class ModelCache {
 
 /// Content hash of corpus lines (order-sensitive).
 uint64_t CorpusFingerprint(const std::vector<std::string>& corpus);
+
+/// Hash of the weights a tiny deterministic pretraining run produces: a
+/// one-layer dim-8 TPLM on a fixed twenty-line corpus, two MLM steps and two
+/// pair-discrimination steps, dropout on. A few milliseconds; ModelCache
+/// computes it once per process. Equal on every dispatch tier
+/// (tests/arch_test.cc). Its GEMMs are too small to reach the 16-lane
+/// chains of the dim-32 model, which is why the key keeps
+/// la::kernels::OutputDigest() beside it.
+uint64_t PretrainDigest();
 
 }  // namespace dial::tplm
 

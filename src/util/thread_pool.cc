@@ -74,14 +74,10 @@ bool ThreadPool::InWorkerThread() const {
   return false;
 }
 
-void ParallelFor(ThreadPool* pool, size_t n,
-                 const std::function<void(size_t, size_t)>& fn, size_t work) {
-  if (n == 0) return;
-  if (n == 1 || work < kMinParallelWork || pool == nullptr ||
-      pool->num_threads() <= 1 || pool->InWorkerThread()) {
-    fn(0, n);
-    return;
-  }
+namespace internal {
+
+void ParallelForPooled(ThreadPool* pool, size_t n,
+                       const std::function<void(size_t, size_t)>& fn) {
   // Per-call completion latch: waiting on the pool-global in_flight_ counter
   // (ThreadPool::Wait) is wrong once several threads share the pool — a
   // caller would block on *everyone's* tasks, and under a submitter that
@@ -106,5 +102,7 @@ void ParallelFor(ThreadPool* pool, size_t n,
   std::unique_lock<std::mutex> lock(latch->mu);
   latch->cv.wait(lock, [&latch] { return latch->remaining == 0; });
 }
+
+}  // namespace internal
 
 }  // namespace dial::util

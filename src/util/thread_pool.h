@@ -88,6 +88,12 @@ class ThreadPool {
 /// a multi-pack call run on workers, where nested calls run inline.
 inline constexpr size_t kMinParallelWork = size_t{1} << 19;
 
+namespace internal {
+/// ParallelFor's pooled path: runs [0, n) in chunks on the pool's workers.
+void ParallelForPooled(ThreadPool* pool, size_t n,
+                       const std::function<void(size_t, size_t)>& fn);
+}  // namespace internal
+
 /// Splits [0, n) into contiguous chunks and runs `fn(begin, end)` on the
 /// pool; blocks until complete. Runs `fn(0, n)` inline on the caller with a
 /// null pool, with fewer than two workers, when `n == 1`, when `work` (the
@@ -102,9 +108,20 @@ inline constexpr size_t kMinParallelWork = size_t{1} << 19;
 /// Safe with concurrent submitters: completion is tracked by a per-call
 /// latch, so each caller returns exactly when its own chunks finish, even
 /// while other threads keep the pool busy.
-void ParallelFor(ThreadPool* pool, size_t n,
-                 const std::function<void(size_t, size_t)>& fn,
-                 size_t work = SIZE_MAX);
+///
+/// The inline path calls `fn` directly; only the pooled path wraps it in a
+/// `std::function` (by reference), so an inline call allocates nothing.
+template <typename Fn>
+void ParallelFor(ThreadPool* pool, size_t n, const Fn& fn,
+                 size_t work = SIZE_MAX) {
+  if (n == 0) return;
+  if (n == 1 || work < kMinParallelWork || pool == nullptr ||
+      pool->num_threads() <= 1 || pool->InWorkerThread()) {
+    fn(0, n);
+    return;
+  }
+  internal::ParallelForPooled(pool, n, std::cref(fn));
+}
 
 }  // namespace dial::util
 

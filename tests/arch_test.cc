@@ -6,6 +6,7 @@
 
 #include "la/arch.h"
 #include "la/kernels.h"
+#include "tplm/model_cache.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
@@ -243,6 +244,18 @@ TEST(ArchParity, OutputDigestIsTheSameOnEveryTier) {
   for (arch::Tier tier : arch::SupportedTiers()) {
     ASSERT_EQ(arch::SetTier(tier), tier);
     EXPECT_EQ(kernels::OutputDigest(), want) << arch::TierName(tier);
+  }
+}
+
+TEST(ArchParity, PretrainDigestIsTheSameOnEveryTier) {
+  // The model cache's other digest: a tiny pretraining run, through the
+  // tape, the optimizer and both pretraining loops.
+  TierGuard guard;
+  ASSERT_EQ(arch::SetTier(arch::Tier::kScalar), arch::Tier::kScalar);
+  const uint64_t want = tplm::PretrainDigest();
+  for (arch::Tier tier : arch::SupportedTiers()) {
+    ASSERT_EQ(arch::SetTier(tier), tier);
+    EXPECT_EQ(tplm::PretrainDigest(), want) << arch::TierName(tier);
   }
 }
 

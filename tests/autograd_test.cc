@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <functional>
 
 #include "autograd/gradcheck.h"
@@ -61,6 +62,40 @@ TEST(Tape, LeafAccumulatesIntoParameter) {
   Var loss = Square(leaf);
   tape.Backward(loss);
   EXPECT_FLOAT_EQ(p.grad(0, 0), 6.0f);  // d/dx x^2 = 2x
+}
+
+TEST(Tape, AllocIsAlignedAndBackwardScratchIsReclaimed) {
+  Tape tape;
+  float* a = tape.Alloc(3);
+  float* b = tape.Alloc(5);
+  constexpr size_t kBig = size_t{1} << 17;  // more than one arena block
+  float* big = tape.Alloc(kBig);
+  for (const float* p : {a, b, big}) {
+    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(p) % la::kMatrixAlignment, 0u);
+  }
+  EXPECT_GE(b - a, 3);
+  big[kBig - 1] = 1.0f;
+
+  // Two nodes whose backwards each take scratch: the second gets the
+  // storage the first one's returned, and the recorded storage stays.
+  Parameter p("p", 1, 1);
+  p.value(0, 0) = 2.0f;
+  p.ZeroGrad();
+  std::vector<float*> scratch;
+  const auto identity = [&](Var in) {
+    Node* out = tape.NewNode(in.value(), /*requires_grad=*/true);
+    Node* n = in.node();
+    out->backward = [&tape, &scratch, out, n] {
+      scratch.push_back(tape.Alloc(16));
+      n->EnsureGrad()(0, 0) += out->grad(0, 0);
+    };
+    return Var(out);
+  };
+  tape.Backward(identity(identity(tape.Leaf(&p))));
+  ASSERT_EQ(scratch.size(), 2u);
+  EXPECT_EQ(scratch[0], scratch[1]);
+  EXPECT_EQ(big[kBig - 1], 1.0f);
+  EXPECT_FLOAT_EQ(p.grad(0, 0), 1.0f);
 }
 
 TEST(TapeDeathTest, BackwardTwiceAborts) {

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+#include <functional>
+
 #include "autograd/gradcheck.h"
 #include "autograd/optim.h"
 #include "autograd/ops.h"
@@ -10,6 +14,7 @@
 namespace dial::nn {
 namespace {
 
+using autograd::Parameter;
 using autograd::Tape;
 using autograd::Var;
 
@@ -264,6 +269,202 @@ TEST(Transformer, CanOverfitTinyClassificationTask) {
     loss_value = loss.scalar();
   }
   EXPECT_LT(loss_value, 0.1f);
+}
+
+// ---------------------------------------------------------------------------
+// Coarse tape nodes against the per-op composition they replace. The
+// Reference* functions build, from ops.h over a module's own Parameters(),
+// the nodes LayerNorm::Forward and TransformerLayer::Forward recorded one op
+// at a time; the coarse nodes must match them bit for bit: values, every
+// gradient, and the rng stream dropout draws from.
+
+Var ReferenceLinear(Tape& tape, Var x, Parameter* weight, Parameter* bias) {
+  Var w = tape.Leaf(weight);
+  Var b = tape.Leaf(bias);
+  return autograd::AddRowBroadcast(autograd::MatMul(x, w), b);
+}
+
+Var ReferenceLayerNorm(Tape& tape, Var x, Parameter* gain, Parameter* bias) {
+  Var normalized = autograd::LayerNormRows(x);
+  Var g = tape.Leaf(gain);
+  Var b = tape.Leaf(bias);
+  return autograd::AddRowBroadcast(autograd::MulRowBroadcast(normalized, g), b);
+}
+
+/// `p` is TransformerLayer::Parameters(): wq, wk, wv, wo, ffn_in, ffn_out
+/// (weight, bias each), then ln_attn and ln_ffn (gain, bias each).
+Var ReferenceLayer(ForwardContext& ctx, const TransformerConfig& config,
+                   const std::vector<Parameter*>& p, Var x) {
+  Tape& tape = *ctx.tape;
+  const size_t head_dim = config.dim / config.num_heads;
+  const float scale = 1.0f / std::sqrt(static_cast<float>(head_dim));
+  Var q = ReferenceLinear(tape, x, p[0], p[1]);
+  Var k = ReferenceLinear(tape, x, p[2], p[3]);
+  Var v = ReferenceLinear(tape, x, p[4], p[5]);
+  std::vector<Var> head_outputs;
+  for (size_t h = 0; h < config.num_heads; ++h) {
+    const size_t begin = h * head_dim;
+    const size_t end = begin + head_dim;
+    Var qh = autograd::SliceCols(q, begin, end);
+    Var kh = autograd::SliceCols(k, begin, end);
+    Var vh = autograd::SliceCols(v, begin, end);
+    Var scores = autograd::ScalarMul(autograd::MatMulTransposeB(qh, kh), scale);
+    Var attn = autograd::SoftmaxRows(scores);
+    attn = autograd::Dropout(attn, config.dropout, *ctx.rng, ctx.training);
+    head_outputs.push_back(autograd::MatMul(attn, vh));
+  }
+  Var attn = ReferenceLinear(tape, autograd::ConcatCols(head_outputs), p[6], p[7]);
+  attn = autograd::Dropout(attn, config.dropout, *ctx.rng, ctx.training);
+  x = ReferenceLayerNorm(tape, autograd::Add(x, attn), p[12], p[13]);
+  Var hidden = autograd::Gelu(ReferenceLinear(tape, x, p[8], p[9]));
+  Var ffn = ReferenceLinear(tape, hidden, p[10], p[11]);
+  ffn = autograd::Dropout(ffn, config.dropout, *ctx.rng, ctx.training);
+  return ReferenceLayerNorm(tape, autograd::Add(x, ffn), p[14], p[15]);
+}
+
+/// What one tape run produced: each sequence's output and input gradient,
+/// every parameter's gradient, the rng state after the forward, and how
+/// many nodes each forward call added.
+struct TapeRun {
+  std::vector<la::Matrix> outputs;
+  std::vector<la::Matrix> input_grads;
+  std::vector<la::Matrix> param_grads;
+  util::Rng::State rng;
+  std::vector<size_t> nodes_per_call;
+};
+
+/// Builds one sequence of each length on one tape through `forward`, then
+/// backpropagates sum_s sum(out_s * C_s) for fixed random C_s.
+TapeRun RunOnTape(const std::vector<Parameter*>& params,
+                  const std::vector<size_t>& lengths, size_t dim, bool training,
+                  const std::function<Var(ForwardContext&, Var)>& forward) {
+  for (Parameter* p : params) p->ZeroGrad();
+  util::Rng data_rng(21);
+  util::Rng dropout_rng(22);
+  Tape tape;
+  ForwardContext ctx{&tape, &dropout_rng, training};
+  TapeRun run;
+  std::vector<Parameter> inputs(lengths.size());
+  std::vector<Var> input_vars;
+  std::vector<Var> terms;
+  for (size_t s = 0; s < lengths.size(); ++s) {
+    inputs[s] = Parameter("input", lengths[s], dim);
+    inputs[s].value.RandNormal(data_rng, 1.0f);
+    input_vars.push_back(tape.Leaf(&inputs[s]));
+    const size_t before = tape.num_nodes();
+    Var out = forward(ctx, input_vars.back());
+    run.nodes_per_call.push_back(tape.num_nodes() - before);
+    run.outputs.push_back(out.value());
+    la::Matrix upstream(lengths[s], dim);
+    upstream.RandNormal(data_rng, 1.0f);
+    terms.push_back(autograd::SumAll(autograd::Mul(out, tape.Constant(upstream))));
+  }
+  run.rng = dropout_rng.GetState();
+  tape.Backward(autograd::AddN(terms));
+  for (Var x : input_vars) run.input_grads.push_back(x.grad());
+  for (Parameter* p : params) run.param_grads.push_back(p->grad);
+  return run;
+}
+
+::testing::AssertionResult SameBits(const la::Matrix& a, const la::Matrix& b) {
+  if (a.rows() != b.rows() || a.cols() != b.cols()) {
+    return ::testing::AssertionFailure() << "shape " << a.rows() << "x" << a.cols()
+                                         << " vs " << b.rows() << "x" << b.cols();
+  }
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (std::memcmp(a.data() + i, b.data() + i, sizeof(float)) != 0) {
+      return ::testing::AssertionFailure()
+             << "element " << i << ": " << a.data()[i] << " vs " << b.data()[i];
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+void ExpectSameRun(const TapeRun& coarse, const TapeRun& reference,
+                   const std::vector<Parameter*>& params) {
+  ASSERT_EQ(coarse.outputs.size(), reference.outputs.size());
+  for (size_t s = 0; s < coarse.outputs.size(); ++s) {
+    EXPECT_TRUE(SameBits(coarse.outputs[s], reference.outputs[s])) << "output " << s;
+    EXPECT_TRUE(SameBits(coarse.input_grads[s], reference.input_grads[s]))
+        << "input gradient " << s;
+  }
+  for (size_t i = 0; i < params.size(); ++i) {
+    EXPECT_TRUE(SameBits(coarse.param_grads[i], reference.param_grads[i]))
+        << params[i]->name;
+  }
+  for (int i = 0; i < 4; ++i) EXPECT_EQ(coarse.rng.s[i], reference.rng.s[i]);
+  EXPECT_EQ(coarse.rng.have_spare, reference.rng.have_spare);
+  EXPECT_EQ(coarse.rng.spare, reference.rng.spare);
+}
+
+/// Moves every parameter off its initializer (LayerNorm starts at gain 1,
+/// bias 0) so that no gradient term is trivially zero or one.
+void Perturb(const std::vector<Parameter*>& params, uint64_t seed) {
+  util::Rng rng(seed);
+  for (Parameter* p : params) {
+    for (size_t i = 0; i < p->value.size(); ++i) {
+      p->value.data()[i] += 0.2f * static_cast<float>(rng.Normal());
+    }
+  }
+}
+
+const std::vector<std::vector<size_t>> kParityLengths = {
+    {1}, {2}, {3}, {5}, {31}, {60}, {5, 31, 3}};
+
+TEST(CoarseNodes, LayerNormMatchesPerOpComposition) {
+  LayerNorm norm("ln", 32);
+  const std::vector<Parameter*> params = norm.Parameters();
+  Perturb(params, 31);
+  for (const std::vector<size_t>& lengths : kParityLengths) {
+    SCOPED_TRACE(testing::Message() << lengths.size() << " sequences, first "
+                                    << lengths[0]);
+    const TapeRun coarse = RunOnTape(
+        params, lengths, 32, true,
+        [&](ForwardContext& ctx, Var x) { return norm.Forward(ctx, x); });
+    const TapeRun reference =
+        RunOnTape(params, lengths, 32, true, [&](ForwardContext& ctx, Var x) {
+          return ReferenceLayerNorm(*ctx.tape, x, params[0], params[1]);
+        });
+    ExpectSameRun(coarse, reference, params);
+    for (size_t nodes : coarse.nodes_per_call) EXPECT_EQ(nodes, 1u);
+  }
+}
+
+TEST(CoarseNodes, TransformerLayerMatchesPerOpComposition) {
+  // The smoke TPLM's layer (head_dim 16), and one whose head_dim of 6 is
+  // not a multiple of the GEMM's 4-step k grouping.
+  struct Shape {
+    size_t dim, heads, ffn;
+  };
+  for (const Shape shape : {Shape{32, 2, 64}, Shape{12, 2, 20}}) {
+    TransformerConfig config;
+    config.dim = shape.dim;
+    config.num_heads = shape.heads;
+    config.ffn_dim = shape.ffn;
+    util::Rng init(41);
+    TransformerLayer layer("layer", config, init);
+    const std::vector<Parameter*> params = layer.Parameters();
+    ASSERT_EQ(params.size(), 16u);
+    Perturb(params, 42);
+    for (const bool training : {false, true}) {
+      for (const std::vector<size_t>& lengths : kParityLengths) {
+        SCOPED_TRACE(testing::Message()
+                     << "dim " << shape.dim << ", training " << training << ", "
+                     << lengths.size() << " sequences, first " << lengths[0]);
+        const TapeRun coarse = RunOnTape(
+            params, lengths, shape.dim, training,
+            [&](ForwardContext& ctx, Var x) { return layer.Forward(ctx, x); });
+        const TapeRun reference = RunOnTape(
+            params, lengths, shape.dim, training,
+            [&](ForwardContext& ctx, Var x) {
+              return ReferenceLayer(ctx, config, params, x);
+            });
+        ExpectSameRun(coarse, reference, params);
+        // Attention, add + norm, FFN, add + norm.
+        for (size_t nodes : coarse.nodes_per_call) EXPECT_EQ(nodes, 4u);
+      }
+    }
+  }
 }
 
 TEST(TransformerConfig, FingerprintSensitivity) {

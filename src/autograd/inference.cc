@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "autograd/ops.h"
 #include "la/kernels.h"
 #include "util/logging.h"
 
@@ -60,16 +59,6 @@ void InferenceContext::Clear() {
 
 namespace infer {
 
-void MatMul(const la::Matrix& a, const la::Matrix& b, la::Matrix& out,
-            util::ThreadPool* pool) {
-  DIAL_CHECK_EQ(a.cols(), b.rows());
-  DIAL_CHECK_EQ(out.rows(), a.rows());
-  DIAL_CHECK_EQ(out.cols(), b.cols());
-  out.Zero();
-  la::kernels::GemmNN(a.rows(), b.cols(), a.cols(), a.data(), b.data(),
-                      out.data(), pool);
-}
-
 void MatMulTransposeB(const la::Matrix& a, const la::Matrix& b,
                       la::Matrix& out, util::ThreadPool* pool) {
   DIAL_CHECK_EQ(a.cols(), b.cols());
@@ -85,18 +74,6 @@ void TanhInPlace(la::Matrix& x) {
   for (size_t i = 0; i < x.size(); ++i) v[i] = std::tanh(v[i]);
 }
 
-void GeluInPlace(la::Matrix& x) {
-  float* data = x.data();
-  for (size_t i = 0; i < x.size(); ++i) {
-    const float v = data[i];
-    data[i] = 0.5f * v * (1.0f + GeluTanh(v));
-  }
-}
-
-void SoftmaxRowsInPlace(la::Matrix& x) {
-  SoftmaxRowsInPlace(x.data(), x.rows(), x.cols());
-}
-
 void SoftmaxRowsInPlace(float* x, size_t rows, size_t cols) {
   for (size_t r = 0; r < rows; ++r) {
     float* row = x + r * cols;
@@ -110,23 +87,6 @@ void SoftmaxRowsInPlace(float* x, size_t rows, size_t cols) {
     const float inv = 1.0f / acc;
     for (size_t c = 0; c < cols; ++c) row[c] *= inv;
   }
-}
-
-void AddInto(const la::Matrix& a, const la::Matrix& b, la::Matrix& out) {
-  DIAL_CHECK_EQ(a.rows(), b.rows());
-  DIAL_CHECK_EQ(a.cols(), b.cols());
-  DIAL_CHECK_EQ(out.rows(), a.rows());
-  DIAL_CHECK_EQ(out.cols(), a.cols());
-  const float* av = a.data();
-  const float* bv = b.data();
-  float* ov = out.data();
-  for (size_t i = 0; i < a.size(); ++i) ov[i] = av[i] + bv[i];
-}
-
-void LayerNormRows(const la::Matrix& x, la::Matrix& out, float eps) {
-  DIAL_CHECK_EQ(out.rows(), x.rows());
-  DIAL_CHECK_EQ(out.cols(), x.cols());
-  LayerNormRows(x.data(), x.rows(), x.cols(), out.data(), nullptr, eps);
 }
 
 void LayerNormRows(const float* x, size_t rows, size_t n, float* out,

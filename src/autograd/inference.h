@@ -12,21 +12,24 @@
 /// \file
 /// Tape-free forward mode: the inference-engine counterpart of `Tape`.
 ///
-/// A training forward records one `Node` per op — heap-allocated value
-/// matrix, stored activations, a backward closure — bookkeeping that a
-/// pool-scoring forward never uses. `InferenceContext` replaces all of it
-/// with a reusable activation arena: scratch matrices keyed by exact shape,
-/// borrowed and returned per forward, so a warmed-up context performs zero
-/// heap allocation per call. The `infer` helpers below mirror the *forward*
-/// arithmetic of the corresponding ops.cc nodes bit-for-bit (same kernels,
-/// same accumulation order, same constants), which is what lets the engine
+/// A training forward records a `Node` per op or per sublayer — heap-
+/// allocated value matrix, stored activations, a backward closure —
+/// bookkeeping that a pool-scoring forward never uses. `InferenceContext`
+/// replaces all of it with a reusable activation arena: scratch matrices
+/// keyed by exact shape, borrowed and returned per forward, so a warmed-up
+/// context performs zero heap allocation per call. The transformer's
+/// layers run the very forward routines their tape nodes call (the nn
+/// layers' `ForwardInto`); the `infer` helpers below mirror the *forward*
+/// arithmetic of the other ops.cc nodes bit-for-bit (same kernels, same
+/// accumulation order, same constants). Together they let the engine
 /// guarantee inference outputs identical to the Tape path (dropout off) —
 /// asserted in tests/inference_test.cc.
 ///
-/// Threading: `Acquire`/`Release` are mutex-guarded so batched forwards can
-/// borrow scratch from inside `util::ParallelFor` workers; the GEMM helpers
-/// take the context's optional pool and stay bit-identical across thread
-/// counts (see la/kernels.h). Training forwards stay on the Tape.
+/// Threading: `Acquire`/`Release` are mutex-guarded so forwards running on
+/// several `util::ParallelFor` workers (one length pack each) can borrow
+/// scratch from one context; the GEMMs take the context's optional pool and
+/// stay bit-identical across thread counts (see la/kernels.h). Training
+/// forwards stay on the Tape.
 
 namespace dial::util {
 class ThreadPool;
@@ -120,11 +123,6 @@ class Scratch {
 /// input activation.
 namespace infer {
 
-/// out = a * b (out pre-shaped (a.rows, b.cols); overwritten). Mirrors
-/// ops::MatMul's forward: zeroed accumulator + GemmNN.
-void MatMul(const la::Matrix& a, const la::Matrix& b, la::Matrix& out,
-            util::ThreadPool* pool);
-
 /// out = a * b^T (out pre-shaped (a.rows, b.rows)). Mirrors
 /// ops::MatMulTransposeB's forward.
 void MatMulTransposeB(const la::Matrix& a, const la::Matrix& b,
@@ -133,23 +131,13 @@ void MatMulTransposeB(const la::Matrix& a, const la::Matrix& b,
 /// x = tanh(x) elementwise (ops::Tanh forward).
 void TanhInPlace(la::Matrix& x);
 
-/// x = gelu(x) elementwise — BERT's tanh approximation, through ops.h's
-/// GeluTanh like ops::Gelu.
-void GeluInPlace(la::Matrix& x);
-
-/// Row-wise softmax in place (ops::SoftmaxRows forward).
-void SoftmaxRowsInPlace(la::Matrix& x);
-/// The same over a dense (rows, cols) block.
+/// Row-wise softmax in place over a dense (rows, cols) block
+/// (ops::SoftmaxRows forward).
 void SoftmaxRowsInPlace(float* x, size_t rows, size_t cols);
 
-/// out = a + b elementwise (ops::Add forward); `out` may alias `a` or `b`.
-void AddInto(const la::Matrix& a, const la::Matrix& b, la::Matrix& out);
-
-/// out = per-row layer norm of x, no affine (ops::LayerNormRows forward).
-/// `out` may alias `x`.
-void LayerNormRows(const la::Matrix& x, la::Matrix& out, float eps = 1e-5f);
-/// The same over dense (rows, n) blocks, also storing each row's 1/sigma
-/// in `inv_sigma` when it is non-null. `out` may alias `x`.
+/// out = per-row layer norm of the dense (rows, n) x, no affine
+/// (ops::LayerNormRows forward), also storing each row's 1/sigma in
+/// `inv_sigma` when it is non-null. `out` may alias `x`.
 void LayerNormRows(const float* x, size_t rows, size_t n, float* out,
                    float* inv_sigma, float eps = 1e-5f);
 

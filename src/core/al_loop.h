@@ -57,8 +57,8 @@ struct AlConfig {
   /// Compute the all-pairs metric every round (Fig. 7) vs only at the end.
   bool allpairs_each_round = true;
   /// Worker threads of the loop-owned pool. It runs the IBC member fan-out
-  /// and batched index search, and the inference engine's pack and
-  /// sequence fan-outs and GEMMs (predict, embed). Training tapes always
+  /// and batched index search, and the inference engine's pack fan-out
+  /// and GEMMs (predict, embed). Training tapes always
   /// run inline. 0 = inline execution, the default. Results are
   /// bit-identical for every value, so this is excluded from the checkpoint
   /// fingerprint: a run checkpointed at one thread count resumes exactly

@@ -49,17 +49,18 @@ Var Linear::Forward(ForwardContext& ctx, Var x) {
 
 autograd::Scratch Linear::InferForward(autograd::InferenceContext& ctx,
                                        const la::Matrix& x) const {
+  DIAL_CHECK_EQ(x.cols(), in_features());
   autograd::Scratch out(ctx, x.rows(), out_features());
-  autograd::infer::MatMul(x, weight_->value, *out, ctx.pool());
-  la::AddRowBroadcast(*out, bias_->value);
+  ForwardInto(x.data(), x.rows(), out->data(), ctx.pool());
   return out;
 }
 
-void Linear::ForwardInto(const float* x, size_t m, float* y) const {
+void Linear::ForwardInto(const float* x, size_t m, float* y,
+                         util::ThreadPool* pool) const {
   const size_t in = in_features();
   const size_t out = out_features();
   std::fill(y, y + m * out, 0.0f);
-  la::kernels::GemmNN(m, out, in, x, weight_->value.data(), y);
+  la::kernels::GemmNN(m, out, in, x, weight_->value.data(), y, pool);
   const float* b = bias_->value.data();
   for (size_t r = 0; r < m; ++r) {
     for (size_t c = 0; c < out; ++c) y[r * out + c] += b[c];
@@ -92,37 +93,24 @@ Var LayerNorm::Forward(ForwardContext& ctx, Var x, Var sublayer, float dropout) 
   const size_t n = x.cols();
   DIAL_CHECK_EQ(n, gain_->value.cols());
   const size_t size = rows * n;
-  const float* xv = x.value().data();
 
   // Saved for the backward: the normalized rows, 1/sigma per row and the
-  // dropout mask. The residual sum is formed in `xhat` and normalized in
-  // place.
+  // dropout mask.
   float* xhat = tape.Alloc(size);
   float* inv_sigma = tape.Alloc(rows);
   float* mask = nullptr;
-  const float* in = xv;
   if (sublayer.valid()) {
     DIAL_CHECK_EQ(sublayer.rows(), rows);
     DIAL_CHECK_EQ(sublayer.cols(), n);
-    const float* sv = sublayer.value().data();
     if (ctx.training && dropout > 0.0f) {
       mask = tape.Alloc(size);
       autograd::DropoutMask(dropout, *ctx.rng, mask, size);
-      for (size_t i = 0; i < size; ++i) xhat[i] = xv[i] + sv[i] * mask[i];
-    } else {
-      for (size_t i = 0; i < size; ++i) xhat[i] = xv[i] + sv[i];
     }
-    in = xhat;
   }
-  autograd::infer::LayerNormRows(in, rows, n, xhat, inv_sigma);
   la::Matrix out(rows, n);
-  const float* gain = gain_->value.data();
-  const float* bias = bias_->value.data();
-  for (size_t r = 0; r < rows; ++r) {
-    const float* row = xhat + r * n;
-    float* orow = out.row(r);
-    for (size_t c = 0; c < n; ++c) orow[c] = row[c] * gain[c] + bias[c];
-  }
+  ForwardInto(x.value().data(),
+              sublayer.valid() ? sublayer.value().data() : nullptr, mask, rows,
+              xhat, inv_sigma, out.data());
 
   Node* node = tape.NewNode(std::move(out), /*requires_grad=*/true);
   Node* nx = x.node();
@@ -175,17 +163,27 @@ Var LayerNorm::Forward(ForwardContext& ctx, Var x, Var sublayer, float dropout) 
   return Var(node);
 }
 
-void LayerNorm::InferForward(const la::Matrix& x, la::Matrix& out) const {
-  autograd::infer::LayerNormRows(x, out);
-  const float* gain = gain_->value.row(0);
-  const float* bias = bias_->value.row(0);
-  for (size_t r = 0; r < out.rows(); ++r) {
-    float* row = out.row(r);
-    for (size_t c = 0; c < out.cols(); ++c) row[c] *= gain[c];
+void LayerNorm::ForwardInto(const float* x, const float* sublayer,
+                            const float* mask, size_t rows, float* xhat,
+                            float* inv_sigma, float* out) const {
+  const size_t n = gain_->value.cols();
+  const size_t size = rows * n;
+  const float* in = x;
+  if (sublayer != nullptr) {
+    if (mask != nullptr) {
+      for (size_t i = 0; i < size; ++i) xhat[i] = x[i] + sublayer[i] * mask[i];
+    } else {
+      for (size_t i = 0; i < size; ++i) xhat[i] = x[i] + sublayer[i];
+    }
+    in = xhat;
   }
-  for (size_t r = 0; r < out.rows(); ++r) {
-    float* row = out.row(r);
-    for (size_t c = 0; c < out.cols(); ++c) row[c] += bias[c];
+  autograd::infer::LayerNormRows(in, rows, n, xhat, inv_sigma);
+  const float* gain = gain_->value.data();
+  const float* bias = bias_->value.data();
+  for (size_t r = 0; r < rows; ++r) {
+    const float* row = xhat + r * n;
+    float* orow = out + r * n;
+    for (size_t c = 0; c < n; ++c) orow[c] = row[c] * gain[c] + bias[c];
   }
 }
 
@@ -197,19 +195,6 @@ Embedding::Embedding(std::string name, size_t vocab, size_t dim, util::Rng& rng)
 
 Var Embedding::Forward(ForwardContext& ctx, const std::vector<int>& ids) {
   return autograd::EmbeddingGather(*ctx.tape, table_, ids);
-}
-
-autograd::Scratch Embedding::InferGather(autograd::InferenceContext& ctx,
-                                         const std::vector<int>& ids) const {
-  const size_t d = table_->value.cols();
-  autograd::Scratch out(ctx, ids.size(), d);
-  for (size_t i = 0; i < ids.size(); ++i) {
-    DIAL_CHECK_GE(ids[i], 0);
-    DIAL_CHECK_LT(static_cast<size_t>(ids[i]), table_->value.rows());
-    const float* src = table_->value.row(ids[i]);
-    std::copy(src, src + d, out->row(i));
-  }
-  return out;
 }
 
 PairClassifierHead::PairClassifierHead(std::string name, size_t dim, float dropout,

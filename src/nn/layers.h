@@ -13,16 +13,16 @@
 /// two task heads used by DIAL (the matcher's pair classifier and the
 /// SentenceBERT-style single-mode classifier).
 ///
-/// Each layer exposes two forwards: `Forward` records autograd nodes on the
-/// context's Tape (training), and `InferForward` runs tape-free through an
-/// `autograd::InferenceContext` arena (inference) — same arithmetic, zero
-/// graph bookkeeping, bit-identical outputs with dropout off.
+/// `Forward` records autograd nodes on the context's Tape (training).
+/// `Linear::Forward` records the per-op nodes of ops.h (two `Leaf`s, MatMul,
+/// AddRowBroadcast). `LayerNorm::Forward`, with or without a residual,
+/// records one coarse node whose hand-written backward replays the per-op
+/// sweep bit for bit.
 ///
-/// Node granularity: `Linear::Forward` records the per-op nodes of ops.h
-/// (two `Leaf`s, MatMul, AddRowBroadcast). `LayerNorm::Forward`, with or
-/// without a residual, records one coarse node whose hand-written backward
-/// replays the per-op sweep bit for bit. `Linear::ForwardInto` and
-/// `Linear::Backward` are the raw pieces the transformer's coarse nodes
+/// `ForwardInto` is the forward arithmetic over raw row-major buffers. The
+/// coarse tape nodes and the tape-free inference engine both call it, so
+/// the engine's outputs are the tape's by construction (dropout off).
+/// `Linear::Backward` is the raw backward the transformer's coarse nodes
 /// build on (nn/transformer.h).
 
 namespace dial::nn {
@@ -38,9 +38,11 @@ class Linear : public Module {
   autograd::Scratch InferForward(autograd::InferenceContext& ctx,
                                  const la::Matrix& x) const;
 
-  /// For coarse tape nodes: y(m, out) = x(m, in) W + b with Forward's
-  /// arithmetic, over dense row-major buffers; y is overwritten.
-  void ForwardInto(const float* x, size_t m, float* y) const;
+  /// y(m, out) = x(m, in) W + b with Forward's arithmetic, over dense
+  /// row-major buffers; y is overwritten. The GEMM splits rows over `pool`
+  /// when one is given, with the same bits.
+  void ForwardInto(const float* x, size_t m, float* y,
+                   util::ThreadPool* pool = nullptr) const;
 
   /// For coarse tape nodes: the backward of one ForwardInto, in the order
   /// the per-op sweep runs it. dx(m, in) += dy W^T when dx is non-null; then
@@ -51,11 +53,6 @@ class Linear : public Module {
 
   size_t in_features() const { return weight_->value.rows(); }
   size_t out_features() const { return weight_->value.cols(); }
-
-  /// Raw parameter access for inference paths that run sliced/fused GEMMs
-  /// over the weights directly (per-head attention projections).
-  const la::Matrix& weight_values() const { return weight_->value; }
-  const la::Matrix& bias_values() const { return bias_->value; }
 
  private:
   autograd::Parameter* weight_;
@@ -74,9 +71,13 @@ class LayerNorm : public Module {
                         autograd::Var sublayer = autograd::Var(),
                         float dropout = 0.0f);
 
-  /// Tape-free per-row layer norm + affine, written into `out` (pre-shaped
-  /// like x; may alias x).
-  void InferForward(const la::Matrix& x, la::Matrix& out) const;
+  /// Forward's arithmetic over dense (rows, dim) buffers: the residual sum
+  /// x + sublayer (times `mask` when that is non-null) when `sublayer` is
+  /// non-null, its per-row norm into `xhat`, then out = xhat * gain + bias.
+  /// `xhat` and `out` may alias each other and x; `inv_sigma` (rows)
+  /// receives each row's 1/sigma when it is non-null.
+  void ForwardInto(const float* x, const float* sublayer, const float* mask,
+                   size_t rows, float* xhat, float* inv_sigma, float* out) const;
 
  private:
   autograd::Parameter* gain_;
@@ -89,10 +90,6 @@ class Embedding : public Module {
   Embedding(std::string name, size_t vocab, size_t dim, util::Rng& rng);
 
   autograd::Var Forward(ForwardContext& ctx, const std::vector<int>& ids);
-
-  /// Tape-free gather of rows `ids` into a borrowed (ids.size(), dim) matrix.
-  autograd::Scratch InferGather(autograd::InferenceContext& ctx,
-                                const std::vector<int>& ids) const;
 
   size_t vocab_size() const { return table_->value.rows(); }
   size_t dim() const { return table_->value.cols(); }

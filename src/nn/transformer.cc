@@ -6,7 +6,6 @@
 #include "la/kernels.h"
 #include "util/hash.h"
 #include "util/string_util.h"
-#include "util/thread_pool.h"
 
 namespace dial::nn {
 
@@ -73,62 +72,84 @@ float* Zeroed(autograd::Tape& tape, size_t n) {
 
 }  // namespace
 
+void TransformerLayer::AttentionInto(const float* xq, const float* x,
+                                     size_t batch, size_t len, size_t q_len,
+                                     const AttentionBuffers& buf, util::Rng* rng,
+                                     float* out, util::ThreadPool* pool) const {
+  const size_t d = config_.dim;
+  const size_t heads = config_.num_heads;
+  const size_t head_dim = d / heads;
+  const size_t probs_size = q_len * len;  // one head's (q_len, len)
+  const float scale = 1.0f / std::sqrt(static_cast<float>(head_dim));
+  float* k_proj = buf.kv;
+  float* v_proj = buf.kv + batch * len * d;
+  wq_.ForwardInto(xq, batch * q_len, buf.merged, pool);
+  wk_.ForwardInto(x, batch * len, k_proj, pool);
+  wv_.ForwardInto(x, batch * len, v_proj, pool);
+  for (size_t b = 0; b < batch; ++b) {
+    // Sequence b's rows of `merged` hold its q projection until the heads'
+    // outputs overwrite them, so every head is split first.
+    float* merged = buf.merged + b * q_len * d;
+    float* q = buf.qkv;
+    float* k = q + q_len * d;
+    float* v = k + len * d;
+    for (size_t h = 0; h < heads; ++h) {
+      const size_t c0 = h * head_dim;
+      CopyCols(merged, q_len, d, c0, head_dim, q + h * q_len * head_dim);
+      CopyCols(k_proj + b * len * d, len, d, c0, head_dim, k + h * len * head_dim);
+      CopyCols(v_proj + b * len * d, len, d, c0, head_dim, v + h * len * head_dim);
+    }
+    for (size_t h = 0; h < heads; ++h) {
+      float* a = buf.probs + h * probs_size;
+      float* dropped = buf.dropped + h * probs_size;
+      std::fill(a, a + probs_size, 0.0f);
+      la::kernels::GemmNT(q_len, len, head_dim, q + h * q_len * head_dim,
+                          k + h * len * head_dim, a);
+      for (size_t i = 0; i < probs_size; ++i) a[i] *= scale;
+      autograd::infer::SoftmaxRowsInPlace(a, q_len, len);
+      if (buf.masks != nullptr) {
+        float* mask = buf.masks + h * probs_size;
+        autograd::DropoutMask(config_.dropout, *rng, mask, probs_size);
+        for (size_t i = 0; i < probs_size; ++i) dropped[i] = a[i] * mask[i];
+      }
+      std::fill(buf.head_out, buf.head_out + q_len * head_dim, 0.0f);
+      la::kernels::GemmNN(q_len, head_dim, len, dropped, v + h * len * head_dim,
+                          buf.head_out);
+      PlaceCols(buf.head_out, q_len, head_dim, d, h * head_dim, merged);
+    }
+  }
+  wo_.ForwardInto(buf.merged, batch * q_len, out, pool);
+}
+
 Var TransformerLayer::SelfAttention(ForwardContext& ctx, Var x) {
   autograd::Tape& tape = *ctx.tape;
   const size_t len = x.rows();
   const size_t d = config_.dim;
-  const size_t heads = config_.num_heads;
-  const size_t head_dim = d / heads;
-  const size_t head_size = len * head_dim;  // one head's (len, head_dim)
-  const size_t probs_size = len * len;      // one head's (len, len)
-  const float scale = 1.0f / std::sqrt(static_cast<float>(head_dim));
+  const size_t probs_size = config_.num_heads * len * len;
   const bool dropout = ctx.training && config_.dropout > 0.0f;
   DIAL_CHECK_EQ(x.cols(), d);
 
   // Saved for the backward: q, k and v split into per-head (len, head_dim)
   // blocks, each head's attention probabilities, their dropout masks and
   // the dropped probabilities the value GEMM read, and the merged head
-  // outputs, which first hold each projection's full-width output.
-  float* qkv = tape.Alloc(3 * len * d);
-  float* probs = tape.Alloc(heads * probs_size);
-  float* masks = dropout ? tape.Alloc(heads * probs_size) : nullptr;
-  float* dropped = dropout ? tape.Alloc(heads * probs_size) : probs;
-  float* merged = tape.Alloc(len * d);
-  float* head_out = tape.Alloc(head_size);
-  const Linear* projections[3] = {&wq_, &wk_, &wv_};
-  for (size_t p = 0; p < 3; ++p) {
-    projections[p]->ForwardInto(x.value().data(), len, merged);
-    for (size_t h = 0; h < heads; ++h) {
-      CopyCols(merged, len, d, h * head_dim, head_dim,
-               qkv + (p * heads + h) * head_size);
-    }
-  }
-  for (size_t h = 0; h < heads; ++h) {
-    const float* q = qkv + h * head_size;
-    const float* k = qkv + (heads + h) * head_size;
-    const float* v = qkv + (2 * heads + h) * head_size;
-    float* a = probs + h * probs_size;
-    std::fill(a, a + probs_size, 0.0f);
-    la::kernels::GemmNT(len, len, head_dim, q, k, a);
-    for (size_t i = 0; i < probs_size; ++i) a[i] *= scale;
-    autograd::infer::SoftmaxRowsInPlace(a, len, len);
-    if (dropout) {
-      float* mask = masks + h * probs_size;
-      float* ad = dropped + h * probs_size;
-      autograd::DropoutMask(config_.dropout, *ctx.rng, mask, probs_size);
-      for (size_t i = 0; i < probs_size; ++i) ad[i] = a[i] * mask[i];
-    }
-    std::fill(head_out, head_out + head_size, 0.0f);
-    la::kernels::GemmNN(len, head_dim, len, dropped + h * probs_size, v,
-                        head_out);
-    PlaceCols(head_out, len, head_dim, d, h * head_dim, merged);
-  }
+  // outputs.
+  AttentionBuffers buf;
+  buf.merged = tape.Alloc(len * d);
+  buf.kv = tape.Alloc(2 * len * d);
+  buf.qkv = tape.Alloc(3 * len * d);
+  buf.probs = tape.Alloc(probs_size);
+  buf.masks = dropout ? tape.Alloc(probs_size) : nullptr;
+  buf.dropped = dropout ? tape.Alloc(probs_size) : buf.probs;
+  buf.head_out = tape.Alloc(len * d / config_.num_heads);
   la::Matrix out(len, d);
-  wo_.ForwardInto(merged, len, out.data());
+  AttentionInto(x.value().data(), x.value().data(), 1, len, len, buf, ctx.rng,
+                out.data(), nullptr);
 
   autograd::Node* node = tape.NewNode(std::move(out), /*requires_grad=*/true);
   autograd::Node* in = x.node();
-  node->backward = [this, node, in, qkv, probs, masks, dropped, merged]() {
+  node->backward = [this, node, in, qkv = buf.qkv, probs = buf.probs,
+                    masks = buf.masks, dropped = buf.dropped,
+                    merged = buf.merged]() {
     autograd::Tape& tape = *node->tape;
     const size_t len = node->rows();
     const size_t d = config_.dim;
@@ -187,6 +208,19 @@ Var TransformerLayer::SelfAttention(ForwardContext& ctx, Var x) {
   return Var(node);
 }
 
+void TransformerLayer::FeedForwardInto(const float* x, size_t rows, float* pre,
+                                       float* gelu_tanh, float* act, float* out,
+                                       util::ThreadPool* pool) const {
+  const size_t size = rows * config_.ffn_dim;
+  ffn_in_.ForwardInto(x, rows, pre, pool);
+  for (size_t i = 0; i < size; ++i) {
+    const float t = autograd::GeluTanh(pre[i]);
+    if (gelu_tanh != nullptr) gelu_tanh[i] = t;
+    act[i] = 0.5f * pre[i] * (1.0f + t);
+  }
+  ffn_out_.ForwardInto(act, rows, out, pool);
+}
+
 Var TransformerLayer::FeedForward(ForwardContext& ctx, Var x) {
   autograd::Tape& tape = *ctx.tape;
   const size_t len = x.rows();
@@ -197,13 +231,8 @@ Var TransformerLayer::FeedForward(ForwardContext& ctx, Var x) {
   float* pre = tape.Alloc(size);
   float* gelu_tanh = tape.Alloc(size);
   float* act = tape.Alloc(size);
-  ffn_in_.ForwardInto(x.value().data(), len, pre);
-  for (size_t i = 0; i < size; ++i) {
-    gelu_tanh[i] = autograd::GeluTanh(pre[i]);
-    act[i] = 0.5f * pre[i] * (1.0f + gelu_tanh[i]);
-  }
   la::Matrix out(len, config_.dim);
-  ffn_out_.ForwardInto(act, len, out.data());
+  FeedForwardInto(x.value().data(), len, pre, gelu_tanh, act, out.data(), nullptr);
 
   autograd::Node* node = tape.NewNode(std::move(out), /*requires_grad=*/true);
   autograd::Node* in = x.node();
@@ -223,171 +252,47 @@ Var TransformerLayer::FeedForward(ForwardContext& ctx, Var x) {
 }
 
 void TransformerLayer::InferForward(autograd::InferenceContext& ctx, size_t batch,
-                                    size_t len, la::Matrix& x) const {
-  namespace infer = autograd::infer;
+                                    size_t len, const la::Matrix& x,
+                                    bool cls_only, la::Matrix& out) const {
   using autograd::Scratch;
   const size_t d = config_.dim;
-  DIAL_CHECK_EQ(x.rows(), batch * len);
-  DIAL_CHECK_EQ(x.cols(), d);
-  const size_t rows = batch * len;
   const size_t heads = config_.num_heads;
-  const size_t head_dim = d / heads;
-  const float scale = 1.0f / std::sqrt(static_cast<float>(head_dim));
-
-  // Head-split packed projections: one (rows, d) x (d, head_dim) GEMM per
-  // head per projection, writing per-head contiguous activations so the
-  // attention GEMMs below read them in place (no per-sequence slice copies).
-  // Column-sliced GEMMs accumulate exactly like the full-width GEMM (the k
-  // reduction never depends on which output columns are computed), so this
-  // stays bit-identical to the Tape path's full q/k/v projections.
-  std::vector<Scratch> qh, kh, vh, head_out;
-  {
-    Scratch wslice(ctx, d, head_dim);
-    Scratch bslice(ctx, 1, head_dim);
-    const Linear* projections[3] = {&wq_, &wk_, &wv_};
-    std::vector<Scratch>* outputs[3] = {&qh, &kh, &vh};
-    for (int p = 0; p < 3; ++p) {
-      for (size_t h = 0; h < heads; ++h) {
-        const size_t c0 = h * head_dim;
-        const la::Matrix& w = projections[p]->weight_values();
-        CopyCols(w.data(), w.rows(), w.cols(), c0, head_dim, wslice->data());
-        std::copy(projections[p]->bias_values().row(0) + c0,
-                  projections[p]->bias_values().row(0) + c0 + head_dim,
-                  bslice->row(0));
-        outputs[p]->emplace_back(ctx, rows, head_dim);
-        la::Matrix& out = *outputs[p]->back();
-        out.Zero();
-        la::kernels::GemmNN(rows, head_dim, d, x.data(), wslice->data(),
-                            out.data(), ctx.pool());
-        la::AddRowBroadcast(out, *bslice);
-      }
-    }
-    for (size_t h = 0; h < heads; ++h) head_out.emplace_back(ctx, rows, head_dim);
-  }
-
-  // Attention mixes tokens within one sequence only, so sequences fan out
-  // over the pool; each worker borrows its own scratch from the arena.
-  util::ParallelFor(ctx.pool(), batch, [&](size_t begin, size_t end) {
-    Scratch scores(ctx, len, len);
-    for (size_t b = begin; b < end; ++b) {
-      const size_t r0 = b * len;
-      for (size_t h = 0; h < heads; ++h) {
-        scores->Zero();
-        la::kernels::GemmNT(len, len, head_dim, qh[h]->row(r0), kh[h]->row(r0),
-                            scores->data());
-        la::Scale(*scores, scale);
-        infer::SoftmaxRowsInPlace(*scores);
-        float* out = head_out[h]->row(r0);
-        std::fill(out, out + len * head_dim, 0.0f);
-        la::kernels::GemmNN(len, head_dim, len, scores->data(), vh[h]->row(r0),
-                            out);
-      }
-    }
-  });
-
-  // Output projection, head-split: wo(merged) == sum over heads of
-  // head_out_h x Wo[rows c0..c0+head_dim) — and because head_dim is a
-  // multiple of the GEMM kernel's 4-step k-grouping, accumulating the heads
-  // in ascending order reproduces the full GEMM's per-element float-add
-  // sequence exactly. Falls back to materializing `merged` otherwise.
-  Scratch attn(ctx, rows, d);
-  if (head_dim % 4 == 0) {
-    attn->Zero();
-    for (size_t h = 0; h < heads; ++h) {
-      la::kernels::GemmNN(rows, d, head_dim, head_out[h]->data(),
-                          wo_.weight_values().row(h * head_dim), attn->data(),
-                          ctx.pool());
-    }
-    la::AddRowBroadcast(*attn, wo_.bias_values());
-  } else {
-    Scratch merged(ctx, rows, d);
-    for (size_t h = 0; h < heads; ++h) {
-      const size_t c0 = h * head_dim;
-      for (size_t r = 0; r < rows; ++r) {
-        const float* src = head_out[h]->row(r);
-        std::copy(src, src + head_dim, merged->row(r) + c0);
-      }
-    }
-    attn = wo_.InferForward(ctx, *merged);
-  }
-
-  // Residual + post-LN; dropout is a no-op at inference.
-  Scratch sum(ctx, rows, d);
-  infer::AddInto(x, *attn, *sum);
-  ln_attn_.InferForward(*sum, x);
-
-  Scratch ffn_hidden = ffn_in_.InferForward(ctx, x);
-  infer::GeluInPlace(*ffn_hidden);
-  Scratch ffn = ffn_out_.InferForward(ctx, *ffn_hidden);
-  infer::AddInto(x, *ffn, *sum);
-  ln_ffn_.InferForward(*sum, x);
-}
-
-void TransformerLayer::InferForwardCls(autograd::InferenceContext& ctx,
-                                       size_t batch, size_t len,
-                                       const la::Matrix& x,
-                                       la::Matrix& cls) const {
-  namespace infer = autograd::infer;
-  using autograd::Scratch;
-  const size_t d = config_.dim;
+  const size_t q_len = cls_only ? 1 : len;
+  const size_t rows = batch * q_len;
   DIAL_CHECK_EQ(x.rows(), batch * len);
   DIAL_CHECK_EQ(x.cols(), d);
-  DIAL_CHECK_EQ(cls.rows(), batch);
-  DIAL_CHECK_EQ(cls.cols(), d);
-  const size_t head_dim = d / config_.num_heads;
-  const float scale = 1.0f / std::sqrt(static_cast<float>(head_dim));
-
-  // CLS input rows, packed (batch, d): only these rows need q / FFN / LN.
-  Scratch x0(ctx, batch, d);
-  for (size_t b = 0; b < batch; ++b) {
-    std::copy(x.row(b * len), x.row(b * len) + d, x0->row(b));
-  }
-  Scratch q = wq_.InferForward(ctx, *x0);  // (batch, d)
-  Scratch k = wk_.InferForward(ctx, x);    // keys/values still span all tokens
-  Scratch v = wv_.InferForward(ctx, x);
-  Scratch merged(ctx, batch, d);
-
-  util::ParallelFor(ctx.pool(), batch, [&](size_t begin, size_t end) {
-    Scratch kh(ctx, len, head_dim);
-    Scratch vh(ctx, len, head_dim);
-    Scratch scores(ctx, 1, len);
-    Scratch head_out(ctx, 1, head_dim);
-    for (size_t b = begin; b < end; ++b) {
-      const size_t r0 = b * len;
-      for (size_t h = 0; h < config_.num_heads; ++h) {
-        const size_t c0 = h * head_dim;
-        for (size_t t = 0; t < len; ++t) {
-          const float* kr = k->row(r0 + t) + c0;
-          const float* vr = v->row(r0 + t) + c0;
-          std::copy(kr, kr + head_dim, kh->row(t));
-          std::copy(vr, vr + head_dim, vh->row(t));
-        }
-        // One query row: the same GemmNT/GemmNN accumulation as the full
-        // (len, len) score matrix restricted to row 0.
-        scores->Zero();
-        la::kernels::GemmNT(1, len, head_dim, q->row(b) + c0, kh->data(),
-                            scores->data());
-        la::Scale(*scores, scale);
-        infer::SoftmaxRowsInPlace(*scores);
-        head_out->Zero();
-        la::kernels::GemmNN(1, head_dim, len, scores->data(), vh->data(),
-                            head_out->data());
-        std::copy(head_out->row(0), head_out->row(0) + head_dim,
-                  merged->row(b) + c0);
-      }
+  DIAL_CHECK_EQ(out.rows(), rows);
+  DIAL_CHECK_EQ(out.cols(), d);
+  // The CLS rows are the queries and the residual input; gathered into
+  // `out`, they become the layer's output in place.
+  if (cls_only) {
+    for (size_t b = 0; b < batch; ++b) {
+      std::copy(x.row(b * len), x.row(b * len) + d, out.row(b));
     }
-  });
-
-  Scratch attn = wo_.InferForward(ctx, *merged);
-  Scratch sum(ctx, batch, d);
-  infer::AddInto(*x0, *attn, *sum);
-  ln_attn_.InferForward(*sum, cls);
-
-  Scratch ffn_hidden = ffn_in_.InferForward(ctx, cls);
-  infer::GeluInPlace(*ffn_hidden);
-  Scratch ffn = ffn_out_.InferForward(ctx, *ffn_hidden);
-  infer::AddInto(cls, *ffn, *sum);
-  ln_ffn_.InferForward(*sum, cls);
+  }
+  const float* xq = cls_only ? out.data() : x.data();
+  // k/v is a block apart from q because its shape is the same in a pack's
+  // full and CLS layers, so the arena keeps one of it.
+  Scratch merged(ctx, rows, d);
+  Scratch kv(ctx, 2 * batch * len, d);
+  Scratch qkv(ctx, q_len + 2 * len, d);
+  Scratch probs(ctx, heads * q_len, len);
+  Scratch head_out(ctx, q_len, d / heads);
+  Scratch sub(ctx, rows, d);  // each sublayer's output
+  const AttentionBuffers buf = {merged->data(),   kv->data(),
+                                qkv->data(),      probs->data(),
+                                /*masks=*/nullptr, /*dropped=*/probs->data(),
+                                head_out->data()};
+  AttentionInto(xq, x.data(), batch, len, q_len, buf, nullptr, sub->data(),
+                ctx.pool());
+  // Residual + post-LN; dropout is a no-op at inference.
+  ln_attn_.ForwardInto(xq, sub->data(), nullptr, rows, out.data(), nullptr,
+                       out.data());
+  Scratch pre(ctx, rows, config_.ffn_dim);
+  FeedForwardInto(out.data(), rows, pre->data(), nullptr, pre->data(),
+                  sub->data(), ctx.pool());
+  ln_ffn_.ForwardInto(out.data(), sub->data(), nullptr, rows, out.data(),
+                      nullptr, out.data());
 }
 
 Var TransformerLayer::Forward(ForwardContext& ctx, Var x) {
@@ -442,7 +347,6 @@ void TransformerEncoder::InferForward(autograd::InferenceContext& ctx,
                                       size_t batch, size_t len, la::Matrix& hidden,
                                       la::Matrix* embed_out,
                                       const InferOptions& options) const {
-  namespace infer = autograd::infer;
   DIAL_CHECK_GT(batch, 0u);
   DIAL_CHECK_GT(len, 0u);
   DIAL_CHECK_LE(len, config_.max_positions);
@@ -453,11 +357,11 @@ void TransformerEncoder::InferForward(autograd::InferenceContext& ctx,
   DIAL_CHECK_EQ(hidden.cols(), d);
 
   // Fused token + position + segment gather-add ((tok + pos) + seg, matching
-  // the Tape path's Add(Add(...), ...) association), then the embedding LN.
+  // the Tape path's Add(Add(...), ...) association) into `hidden`, then the
+  // embedding LN in place.
   const la::Matrix& tok = tokens_.table()->value;
   const la::Matrix& pos = positions_.table()->value;
   const la::Matrix& seg = segments_.table()->value;
-  autograd::Scratch sum(ctx, batch * len, d);
   for (size_t i = 0; i < batch * len; ++i) {
     DIAL_CHECK_GE(ids[i], 0);
     DIAL_CHECK_LT(static_cast<size_t>(ids[i]), tok.rows());
@@ -466,10 +370,11 @@ void TransformerEncoder::InferForward(autograd::InferenceContext& ctx,
     const float* tr = tok.row(ids[i]);
     const float* pr = pos.row(i % len);
     const float* sr = seg.row(segment_ids[i]);
-    float* out = sum->row(i);
+    float* out = hidden.row(i);
     for (size_t c = 0; c < d; ++c) out[c] = (tr[c] + pr[c]) + sr[c];
   }
-  ln_embed_.InferForward(*sum, hidden);
+  ln_embed_.ForwardInto(hidden.data(), nullptr, nullptr, batch * len,
+                        hidden.data(), nullptr, hidden.data());
   if (embed_out != nullptr) {
     DIAL_CHECK_EQ(embed_out->rows(), batch * len);
     DIAL_CHECK_EQ(embed_out->cols(), d);
@@ -480,12 +385,13 @@ void TransformerEncoder::InferForward(autograd::InferenceContext& ctx,
   const size_t full_layers =
       options.cls_only_last ? layers_.size() - 1 : layers_.size();
   for (size_t i = 0; i < full_layers; ++i) {
-    layers_[i]->InferForward(ctx, batch, len, hidden);
+    layers_[i]->InferForward(ctx, batch, len, hidden, /*cls_only=*/false, hidden);
   }
   if (options.cls_only_last) {
     // Final layer: only each sequence's CLS row is ever read downstream.
     autograd::Scratch cls(ctx, batch, d);
-    layers_.back()->InferForwardCls(ctx, batch, len, hidden, *cls);
+    layers_.back()->InferForward(ctx, batch, len, hidden, /*cls_only=*/true,
+                                 *cls);
     for (size_t b = 0; b < batch; ++b) {
       std::copy(cls->row(b), cls->row(b) + d, hidden.row(b * len));
     }

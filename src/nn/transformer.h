@@ -26,11 +26,13 @@
 /// from ctx.rng in the same order. nn_test pins values, gradients and the
 /// rng stream against that composition. The embedding sum stays per-op.
 ///
-/// The inference engine adds a second, tape-free path (`InferForward`):
-/// same-length sequences are packed into one (batch·len, dim) activation so
-/// every linear layer runs as a single matrix-matrix GEMM, while attention
-/// stays per sequence (fanned out over the context's pool). Outputs are
-/// bit-identical to the per-sequence Tape forward with dropout off, and
+/// Each sublayer's forward is one raw-buffer routine (`AttentionInto`,
+/// `FeedForwardInto`, `LayerNorm::ForwardInto`) that the tape node and the
+/// tape-free inference engine (`InferForward`) both call. The engine packs
+/// same-length sequences into one (batch·len, dim) activation, so every
+/// linear layer runs as a single GEMM whose rows split over the context's
+/// pool, while attention mixes rows within one sequence at a time. Outputs
+/// are bit-identical to the per-sequence Tape forward with dropout off, and
 /// bit-identical across thread counts — no padding or masking ever enters
 /// the arithmetic.
 
@@ -62,24 +64,46 @@ class TransformerLayer : public Module {
   /// Records four tape nodes (see the file comment).
   autograd::Var Forward(ForwardContext& ctx, autograd::Var x);
 
-  /// Tape-free forward over `batch` packed same-length sequences: x is
-  /// (batch*len, dim) and is updated in place. Linear sublayers run as one
-  /// packed GEMM; attention runs per sequence over ctx's pool.
+  /// Tape-free forward over `batch` packed same-length sequences, x
+  /// (batch*len, dim). Writes every row of the layer's output to `out`
+  /// (batch*len, dim), which may be x; with `cls_only`, only each
+  /// sequence's first row (the CLS state) into `out` (batch, dim).
+  /// Attention still reads every row of x, so out's rows are bit-identical
+  /// to the full forward's.
   void InferForward(autograd::InferenceContext& ctx, size_t batch, size_t len,
-                    la::Matrix& x) const;
-
-  /// Final-layer shortcut: computes ONLY each sequence's first row (the CLS
-  /// state) of this layer's output into `cls` (batch, dim). Bit-identical to
-  /// row b*len of InferForward — attention still attends over every token of
-  /// `x`, but the query/FFN/LN work for the discarded rows is skipped. Valid
-  /// only when no later layer consumes the other rows.
-  void InferForwardCls(autograd::InferenceContext& ctx, size_t batch, size_t len,
-                       const la::Matrix& x, la::Matrix& cls) const;
+                    const la::Matrix& x, bool cls_only, la::Matrix& out) const;
 
  private:
-  /// The coarse self-attention node: wo(MultiHead(x)), before dropout.
+  /// What one AttentionInto call works in. Per-sequence buffers hold the
+  /// last sequence's values when it returns; the tape node passes one
+  /// sequence and keeps those its backward reads.
+  struct AttentionBuffers {
+    float* merged;    // (batch*q_len, dim): wq's output, then the heads'
+    float* kv;        // (2*batch*len, dim): wk's output, then wv's
+    float* qkv;       // (q_len + 2*len, dim): one sequence's q, k, v per head
+    float* probs;     // (heads*q_len, len): one sequence's attention weights
+    float* masks;     // like probs: dropout masks; null for no dropout
+    float* dropped;   // like probs: probs * masks, or `probs` without masks
+    float* head_out;  // (q_len, head_dim): one head's output
+  };
+
+  /// wo(MultiHead(x)), before dropout, over `batch` packed sequences of
+  /// `len` rows: keys and values come from every row of x (batch*len, dim),
+  /// queries from the first `q_len` rows of each sequence (len, or 1 for
+  /// the CLS row), packed in xq (batch*q_len, dim); out is (batch*q_len,
+  /// dim). Draws the dropout masks from `rng` when buf.masks is non-null.
+  void AttentionInto(const float* xq, const float* x, size_t batch, size_t len,
+                     size_t q_len, const AttentionBuffers& buf, util::Rng* rng,
+                     float* out, util::ThreadPool* pool) const;
+  /// ffn_out(GELU(ffn_in(x))), before dropout, for `rows` rows of x:
+  /// ffn_in's output goes to `pre`, the GELU to `act` (which may be `pre`)
+  /// and each element's GELU tanh to `gelu_tanh` when it is non-null.
+  void FeedForwardInto(const float* x, size_t rows, float* pre, float* gelu_tanh,
+                       float* act, float* out, util::ThreadPool* pool) const;
+
+  /// The coarse self-attention node: AttentionInto over one sequence.
   autograd::Var SelfAttention(ForwardContext& ctx, autograd::Var x);
-  /// The coarse FFN node: ffn_out(Gelu(ffn_in(x))), before dropout.
+  /// The coarse FFN node: FeedForwardInto over one sequence.
   autograd::Var FeedForward(ForwardContext& ctx, autograd::Var x);
 
   const TransformerConfig& config_;

@@ -130,7 +130,7 @@ Var TplmModel::EncodePairFeatures(nn::ForwardContext& ctx,
 
 namespace {
 
-/// Sequences per packed inference forward. Small on purpose: the per-head
+/// Sequences per packed inference forward. Small on purpose: the
 /// activation buffers of a pack must stay L2-resident (a 64-seq pack of
 /// len-60 pairs measurably loses to packs of one on a 1 MB-L2 container),
 /// while 8 still amortizes GEMM setup and feeds the pack-level ParallelFor
@@ -340,20 +340,25 @@ la::Matrix TplmModel::EncodePairFeaturesBatch(
   return out;
 }
 
-double TplmModel::EvalMlmLoss(autograd::InferenceContext& ctx,
-                              const text::EncodedSequence& seq, util::Rng& rng,
-                              float mask_prob) const {
-  namespace infer = autograd::infer;
-  // Identical corruption sampling to MlmLoss: the two paths consume the rng
-  // stream in lockstep, so eval losses are comparable step for step.
-  const size_t vocab = config_.transformer.vocab_size;
-  std::vector<int> corrupted = seq.ids;
-  std::vector<int> targets(seq.ids.size(), -1);
+namespace {
+
+/// BERT's dynamic masking of `ids`: each non-special piece is picked with
+/// probability mask_prob, and a picked piece becomes [MASK] 80% of the
+/// time, a random piece 10% and stays itself 10%. Fills `corrupted`, and
+/// `targets` with the original id at each picked position and -1
+/// elsewhere; returns how many pieces were picked. MlmLoss and EvalMlmLoss
+/// both mask through it, so they consume the rng stream in lockstep and
+/// eval losses are comparable step for step.
+size_t MaskForMlm(const std::vector<int>& ids, size_t vocab, float mask_prob,
+                  util::Rng& rng, std::vector<int>& corrupted,
+                  std::vector<int>& targets) {
+  corrupted = ids;
+  targets.assign(ids.size(), -1);
   size_t masked = 0;
-  for (size_t i = 0; i < corrupted.size(); ++i) {
-    if (corrupted[i] < text::SpecialIds::kCount) continue;  // skip specials
+  for (size_t i = 0; i < ids.size(); ++i) {
+    if (ids[i] < text::SpecialIds::kCount) continue;  // skip specials
     if (!rng.Bernoulli(mask_prob)) continue;
-    targets[i] = seq.ids[i];
+    targets[i] = ids[i];
     ++masked;
     const double roll = rng.Uniform();
     if (roll < 0.8) {
@@ -364,7 +369,21 @@ double TplmModel::EvalMlmLoss(autograd::InferenceContext& ctx,
           rng.UniformInt(vocab - text::SpecialIds::kCount));
     }  // else keep
   }
-  if (masked == 0) return -1.0;
+  return masked;
+}
+
+}  // namespace
+
+double TplmModel::EvalMlmLoss(autograd::InferenceContext& ctx,
+                              const text::EncodedSequence& seq, util::Rng& rng,
+                              float mask_prob) const {
+  namespace infer = autograd::infer;
+  const size_t vocab = config_.transformer.vocab_size;
+  std::vector<int> corrupted;
+  std::vector<int> targets;
+  if (MaskForMlm(seq.ids, vocab, mask_prob, rng, corrupted, targets) == 0) {
+    return -1.0;
+  }
   const size_t len = corrupted.size();
   const size_t d = config_.transformer.dim;
   autograd::Scratch hidden(ctx, len, d);
@@ -390,25 +409,12 @@ double TplmModel::EvalMlmLoss(autograd::InferenceContext& ctx,
 
 Var TplmModel::MlmLoss(nn::ForwardContext& ctx, const text::EncodedSequence& seq,
                        util::Rng& rng, float mask_prob) {
-  const size_t vocab = config_.transformer.vocab_size;
-  std::vector<int> corrupted = seq.ids;
-  std::vector<int> targets(seq.ids.size(), -1);
-  size_t masked = 0;
-  for (size_t i = 0; i < corrupted.size(); ++i) {
-    if (corrupted[i] < text::SpecialIds::kCount) continue;  // skip specials
-    if (!rng.Bernoulli(mask_prob)) continue;
-    targets[i] = seq.ids[i];
-    ++masked;
-    const double roll = rng.Uniform();
-    if (roll < 0.8) {
-      corrupted[i] = text::SpecialIds::kMask;
-    } else if (roll < 0.9) {
-      corrupted[i] = static_cast<int>(
-          text::SpecialIds::kCount +
-          rng.UniformInt(vocab - text::SpecialIds::kCount));
-    }  // else keep
+  std::vector<int> corrupted;
+  std::vector<int> targets;
+  if (MaskForMlm(seq.ids, config_.transformer.vocab_size, mask_prob, rng,
+                 corrupted, targets) == 0) {
+    return Var();
   }
-  if (masked == 0) return Var();
   Var hidden = encoder_.Forward(ctx, corrupted, seq.segments);
   // Tied-weight output projection: logits = hidden @ E^T.
   Var table = ctx.tape->Leaf(encoder_.token_embedding().table());

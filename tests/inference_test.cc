@@ -1,7 +1,7 @@
 // Parity and determinism contract of the tape-free batched inference engine
 // (autograd::InferenceContext + the InferForward paths):
 //  - per-layer and end-to-end bit-identity with the Tape forward (dropout
-//    off): Linear, LayerNorm, Embedding, TransformerLayer, encoder, matcher
+//    off): Linear, LayerNorm, TransformerLayer, encoder, matcher
 //    probabilities / BADGE rows / representations, SBERT embeddings,
 //    committee transforms and vote entropy, TPLM eval loss — the Tape side
 //    is driven through each layer's differentiable Forward directly;
@@ -128,29 +128,13 @@ TEST(InferenceLayers, LayerNormMatchesTape) {
   const la::Matrix expected = ln.Forward(tctx, tape.Constant(x)).value();
 
   la::Matrix got(6, 10);
-  ln.InferForward(x, got);
+  ln.ForwardInto(x.data(), nullptr, nullptr, 6, got.data(), nullptr, got.data());
   ExpectBitEqual(expected, got);
 }
 
-TEST(InferenceLayers, EmbeddingGatherMatchesTape) {
-  util::Rng rng(7);
-  nn::Embedding emb("emb", 20, 8, rng);
-  const std::vector<int> ids = {3, 0, 19, 3, 7};
-
-  autograd::Tape tape;
-  util::Rng tape_rng(1);
-  nn::ForwardContext tctx{&tape, &tape_rng, /*training=*/false};
-  const la::Matrix expected = emb.Forward(tctx, ids).value();
-
-  autograd::InferenceContext ctx;
-  autograd::Scratch got = emb.InferGather(ctx, ids);
-  ExpectBitEqual(expected, *got);
-}
-
 TEST(InferenceLayers, TransformerLayerMatchesTapePerSequence) {
-  // dim 16 / heads 2 exercises the head-split wo fast path (head_dim 8, a
-  // multiple of the GEMM 4-step k-grouping); dim 12 / heads 2 (head_dim 6)
-  // exercises the materialized-merge fallback.
+  // head_dim 8 (dim 16 / heads 2) is a multiple of the GEMM's 4-step k
+  // grouping; head_dim 6 (dim 12 / heads 2) is not.
   const size_t dims[][2] = {{16, 2}, {12, 2}};
   for (const auto& shape : dims) {
     nn::TransformerConfig config;
@@ -175,7 +159,7 @@ TEST(InferenceLayers, TransformerLayerMatchesTapePerSequence) {
       expected.push_back(layer.Forward(tctx, tape.Constant(x)).value());
     }
     autograd::InferenceContext ctx;
-    layer.InferForward(ctx, batch, len, packed);
+    layer.InferForward(ctx, batch, len, packed, /*cls_only=*/false, packed);
     for (size_t b = 0; b < batch; ++b) {
       for (size_t t = 0; t < len; ++t) {
         for (size_t c = 0; c < config.dim; ++c) {
@@ -189,23 +173,30 @@ TEST(InferenceLayers, TransformerLayerMatchesTapePerSequence) {
 }
 
 TEST(InferenceLayers, TransformerLayerClsOnlyMatchesFullForward) {
-  nn::TransformerConfig config;
-  config.dim = 16;
-  config.num_heads = 2;
-  config.ffn_dim = 32;
-  util::Rng rng(13);
-  nn::TransformerLayer layer("layer", config, rng);
-  const size_t len = 9;
-  const size_t batch = 4;
-  la::Matrix packed = RandomMatrix(batch * len, config.dim, 321);
-  la::Matrix full = packed;
-  autograd::InferenceContext ctx;
-  layer.InferForward(ctx, batch, len, full);
-  la::Matrix cls(batch, config.dim);
-  layer.InferForwardCls(ctx, batch, len, packed, cls);
-  for (size_t b = 0; b < batch; ++b) {
-    for (size_t c = 0; c < config.dim; ++c) {
-      ASSERT_EQ(full(b * len, c), cls(b, c)) << "seq " << b << " col " << c;
+  // head_dim 8 and 6 (see TransformerLayerMatchesTapePerSequence), and a
+  // length-1 sequence, whose CLS row is the whole sequence.
+  const size_t shapes[][3] = {{16, 2, 9}, {12, 2, 9}, {16, 2, 1}};
+  for (const auto& shape : shapes) {
+    nn::TransformerConfig config;
+    config.dim = shape[0];
+    config.num_heads = shape[1];
+    config.ffn_dim = 2 * config.dim;
+    util::Rng rng(13);
+    nn::TransformerLayer layer("layer", config, rng);
+    const size_t len = shape[2];
+    const size_t batch = 4;
+    la::Matrix packed = RandomMatrix(batch * len, config.dim, 321);
+    la::Matrix full = packed;
+    autograd::InferenceContext ctx;
+    layer.InferForward(ctx, batch, len, full, /*cls_only=*/false, full);
+    la::Matrix cls(batch, config.dim);
+    layer.InferForward(ctx, batch, len, packed, /*cls_only=*/true, cls);
+    for (size_t b = 0; b < batch; ++b) {
+      for (size_t c = 0; c < config.dim; ++c) {
+        ASSERT_EQ(full(b * len, c), cls(b, c))
+            << "dim " << config.dim << " len " << len << " seq " << b
+            << " col " << c;
+      }
     }
   }
 }
@@ -350,10 +341,10 @@ TEST(InferenceEngine, BitIdenticalAcrossThreadCounts) {
   const auto pairs = RaggedPairs(vocab);
 
   // One full pack at the default model shapes: 8 pairs of max_pair_len
-  // tokens. A single pack runs on the caller, so the encoder's own fan-outs
-  // reach the pool — the per-sequence attention split and the FFN GEMMs
-  // (480x64x32, above util::kMinParallelWork; CLS-mode K/V 480x32x32 lies
-  // below it and runs inline).
+  // tokens. A single pack runs on the caller, so the encoder's GEMMs reach
+  // the pool: the full layer's FFN GEMMs (480x64x32) lie above
+  // util::kMinParallelWork, while its q/k/v and wo projections (480x32x32)
+  // lie below it and run inline.
   const tplm::TplmConfig full_config;
   tplm::TplmModel full_model("full", full_config, 5);
   std::vector<text::EncodedSequence> one_pack;
@@ -385,13 +376,20 @@ TEST(InferenceEngine, ArenaStopsAllocatingAfterWarmup) {
   const size_t vocab = 64;
   tplm::TplmModel model("m", SmallConfig(vocab), 5);
   const auto seqs = RaggedSingles(vocab);
+  // Single mode stops after the embedding layer; paired mode runs one full
+  // transformer layer and one CLS-only layer, so their scratch is checked.
+  const auto pairs = RaggedPairs(vocab);
+  const auto encode = [&](autograd::InferenceContext& ctx) {
+    model.EncodeSingleBatch(ctx, Pointers(seqs));
+    model.EncodePairFeaturesBatch(ctx, Pointers(pairs));
+  };
 
   autograd::InferenceContext ctx;
-  model.EncodeSingleBatch(ctx, Pointers(seqs));
+  encode(ctx);
   EXPECT_EQ(ctx.borrowed(), 0u);
   const size_t warm = ctx.allocated();
   EXPECT_GT(warm, 0u);
-  for (int i = 0; i < 3; ++i) model.EncodeSingleBatch(ctx, Pointers(seqs));
+  for (int i = 0; i < 3; ++i) encode(ctx);
   EXPECT_EQ(ctx.allocated(), warm) << "steady-state forwards must not allocate";
   EXPECT_EQ(ctx.borrowed(), 0u);
 }
